@@ -1,11 +1,12 @@
 """Perturbation series and closed forms for the band-edge eigenvalue pairs.
 
 The two-term potential couples only nearest Fourier neighbors, so every
-series term is a walk with steps +-1 whose partial sums must avoid the
-band's own two frequencies.  Walks are enumerated directly (k <= 9 is
-plenty at desk scale); the single leading coupling term is an exact finite
-product evaluated in log-scale because its value decays like
-((2n-1)!)^-2.
+series term sums walks with steps +-1 whose partial sums must avoid the
+band's own two frequencies.  A walk's weight depends only on its steps and
+partial sums, so the sum runs over partial sums, not walks: one pass gives
+every order k <= k_max in O(k_max^2).  The single leading coupling term is
+an exact finite product evaluated in log-scale because its value decays
+like ((2n-1)!)^-2.
 
 Conventions for the two families:
 
@@ -19,10 +20,9 @@ Conventions for the two families:
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from .errors import PoleProximityError, ValidationError
 from .potential import (LogComplex, MathieuPotential, T_VALID,
@@ -121,47 +121,45 @@ def b_series_leading(pot: MathieuPotential, n: int, lam: complex, t: float,
     return SeriesValue(value=acc.value(), k_max=k, tail_bound=0.0, log=acc)
 
 
-def _walk_sum(pot: MathieuPotential, n: int, lam: complex, t: float, k: int,
-              family: str, primed: bool, closing: str) -> complex:
-    """Sum over +-1 walks of length k with the family's forbidden partials.
+def _walk_terms(pot: MathieuPotential, n: int, lam: complex, t: float,
+                k_max: int, family: str, primed: bool,
+                closing: str) -> List[complex]:
+    """Terms k = 0..k_max of a walk series, by one pass over partial sums.
 
+    ``ends`` maps each partial sum to the summed weight (q-steps over
+    denominators) of the admissible walks of the current length ending
+    there; a walk drops out at its first forbidden partial sum.  The pole
+    guard sees every partial sum that a walk reaches, zero weight or not.
     ``closing`` picks the final multiplicand: 'a' for the diagonal series
     (q at -Sigma) or 'b' for the coupling series (q at mirror-Sigma).
     """
+    if k_max < 0:
+        raise ValidationError("series order k must be >= 0")
     m = 2 * n if family == "periodic" else 2 * n + 1
-    if family == "periodic":
-        center = n
-    else:
-        center = n + 1 if primed else n
+    center = n + 1 if primed and family == "antiperiodic" else n
+    shift = center if primed else -center  # +-freq = 2 pi (Sigma + shift) - t
     forb = {0, -m} if primed else {0, m}
+    mirror = 0 if closing == "a" else (-m if primed else m)
     q = {-1: pot.a, 1: pot.b}
-    total = 0.0j
-    for steps in itertools.product((-1, 1), repeat=k):
-        part = 0
-        coef = 1.0 + 0.0j
-        denom = 1.0 + 0.0j
-        ok = True
-        for st in steps:
-            part += st
-            if part in forb:
-                ok = False
-                break
-            coef *= q[st]
-            if primed:
-                freq = TWO_PI * (center + part) - t
-            else:
-                freq = TWO_PI * (center - part) + t
-            denom *= _denominator(lam, freq)
-        if not ok:
-            continue
-        if closing == "a":
-            idx = -part
-        else:
-            idx = (-m - part) if primed else (m - part)
-        if idx not in (-1, 1):
-            continue
-        total += q[idx] * coef / denom
-    return total
+    inv_denom = {}
+    ends = {0: 1.0 + 0.0j}
+    terms = []
+    for k in range(k_max + 1):
+        if k:
+            nxt = {}
+            for part, weight in ends.items():
+                for st in (-1, 1):
+                    s = part + st
+                    if s in forb:
+                        continue
+                    if s not in inv_denom:
+                        inv_denom[s] = 1.0 / _denominator(
+                            lam, TWO_PI * (s + shift) - t)
+                    nxt[s] = nxt.get(s, 0.0j) + weight * q[st] * inv_denom[s]
+            ends = nxt
+        terms.append(q[1] * ends.get(mirror - 1, 0.0j)
+                     + q[-1] * ends.get(mirror + 1, 0.0j))
+    return terms
 
 
 def a_series_term(pot: MathieuPotential, n: int, lam: complex, t: float,
@@ -171,15 +169,15 @@ def a_series_term(pot: MathieuPotential, n: int, lam: complex, t: float,
     _check_family(family)
     if k % 2 == 0:
         return 0.0j
-    return _walk_sum(pot, n, lam, t, k, family, primed, closing="a")
+    return _walk_terms(pot, n, lam, t, k, family, primed, closing="a")[k]
 
 
 def b_series_term(pot: MathieuPotential, n: int, lam: complex, t: float,
                   k: int, family: str = "periodic",
                   primed: bool = False) -> complex:
-    """The k-th coupling series term by walk enumeration (spot-check use)."""
+    """The k-th coupling series term summed over walks (spot-check use)."""
     _check_family(family)
-    return _walk_sum(pot, n, lam, t, k, family, primed, closing="b")
+    return _walk_terms(pot, n, lam, t, k, family, primed, closing="b")[k]
 
 
 def A_series(pot: MathieuPotential, n: int, lam: complex, t: float,
@@ -187,18 +185,18 @@ def A_series(pot: MathieuPotential, n: int, lam: complex, t: float,
              primed: bool = False) -> SeriesValue:
     """Sum of the diagonal walk series up to k_max (odd terms only).
 
-    The tail bound extrapolates the observed geometric decay of successive
-    odd terms.
+    One pass up to the largest odd order gives every term.  The tail bound
+    extrapolates the observed geometric decay of successive odd terms.
     """
     _check_family(family)
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
-    terms = []
+    k_top = k_max if k_max % 2 else k_max - 1
+    odd = _walk_terms(pot, n, lam, t, k_top, family, primed, closing="a")[1::2]
     total = 0.0j
-    for k in range(1, k_max + 1, 2):
-        tk = a_series_term(pot, n, lam, t, k, family, primed)
-        terms.append(abs(tk))
+    for tk in odd:
         total += tk
+    terms = [abs(tk) for tk in odd]
     tail = 0.0
     if len(terms) >= 2 and terms[-2] > 0:
         r = terms[-1] / terms[-2]
@@ -211,14 +209,6 @@ def A_series(pot: MathieuPotential, n: int, lam: complex, t: float,
     return SeriesValue(value=total, k_max=k_max, tail_bound=float(tail))
 
 
-def coupling_tail_model(n: int) -> float:
-    """Relative size allotted to coupling terms beyond the leading one.
-
-    Reported alongside results, never silently applied.
-    """
-    return 10.0 / (n * n)
-
-
 def D_of(pot: MathieuPotential, n: int, lam: complex, t: float,
          k_max: int = 9, family: str = "periodic",
          s_branch: int = 1) -> DTerm:
@@ -226,12 +216,20 @@ def D_of(pot: MathieuPotential, n: int, lam: complex, t: float,
 
     Valid in the family's quasimomentum zone (within 1/(15 pi) of 0 or
     pi).  B and B' are the leading log-scale products; the neglected
-    coupling tail is bounded by ``coupling_tail_model(n)`` relative.
+    coupling tail is of relative size 10/n^2.
     """
     _check_family(family)
     a_plain = A_series(pot, n, lam, t, k_max, family, primed=False)
     a_primed = A_series(pot, n, lam, t, k_max, family, primed=True)
-    c_val = 0.5 * (a_plain.value - a_primed.value)
+    return _assemble_d(pot, n, lam, t, family, s_branch, a_plain.value,
+                       a_primed.value)
+
+
+def _assemble_d(pot: MathieuPotential, n: int, lam: complex, t: float,
+                family: str, s_branch: int, a_plain: complex,
+                a_primed: complex) -> DTerm:
+    """D and its split factors from the two A series values."""
+    c_val = 0.5 * (a_plain - a_primed)
     b_plain = b_series_leading(pot, n, lam, t, family, primed=False)
     b_primed = b_series_leading(pot, n, lam, t, family, primed=True)
     bbp_log = b_plain.log * b_primed.log
@@ -413,10 +411,9 @@ def asymptotic_lambda(pot: MathieuPotential, n: int, t: float, j: int,
     w = _windows(family, n, t)
     lam = complex((TWO_PI * n + t) ** 2 - w)
     for _ in range(iterations):
-        a_plain = A_series(pot, n, lam, t, k_max, family, primed=False)
-        a_primed = A_series(pot, n, lam, t, k_max, family, primed=True)
-        dterm = D_of(pot, n, lam, t, k_max, family)
-        lam = ((TWO_PI * n + t) ** 2
-               + 0.5 * (a_plain.value + a_primed.value)
+        a_plain = A_series(pot, n, lam, t, k_max, family, primed=False).value
+        a_primed = A_series(pot, n, lam, t, k_max, family, primed=True).value
+        dterm = _assemble_d(pot, n, lam, t, family, 1, a_plain, a_primed)
+        lam = ((TWO_PI * n + t) ** 2 + 0.5 * (a_plain + a_primed)
                - w + sign * cmath.sqrt(dterm.d_value))
     return lam

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -103,8 +104,31 @@ def read_config_file(path: str) -> dict:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a parse error as ValidationError (exit 1, JSON on stderr)
+    rather than as usage text with exit 2, which means numerical failure."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
+#: A complex literal with a leading minus, which argparse takes for a flag.
+_NEGATIVE_LITERAL = re.compile(r"^-[\d.]")
+
+
+def _join_negative_amplitudes(argv):
+    """'--a -0.5+0.5i' -> '--a=-0.5+0.5i'."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--a", "--b") and _NEGATIVE_LITERAL.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="mathieuspec",
         description="Floquet spectrum, projection norms and spectral-"
                     "expansion classification of the two-term Hill operator")
@@ -127,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_argv(argv) -> JobConfig:
-    ns = build_parser().parse_args(argv)
+    ns = build_parser().parse_args(_join_negative_amplitudes(argv))
     merged = {}
     if ns.config:
         merged.update(read_config_file(ns.config))
@@ -143,18 +167,21 @@ def config_from_argv(argv) -> JobConfig:
         kw["b"] = parse_complex(str(merged["b"]))
     if merged.get("alpha") is not None:
         kw["alpha"] = parse_rational(str(merged["alpha"]))
-    for key, cast in (("n_max", int), ("t_points", int),
-                      ("m_override", int), ("seed", int), ("h", float)):
-        if merged.get(key) is not None:
-            kw[key] = cast(merged[key])
-    if merged.get("window") is not None:
-        w = merged["window"]
-        if isinstance(w, str):
-            parts = w.split(",")
-            if len(parts) != 2:
-                raise ValidationError('window must be "lo,hi"')
-            w = (float(parts[0]), float(parts[1]))
-        kw["window"] = tuple(w)
+    try:
+        for key, cast in (("n_max", int), ("t_points", int),
+                          ("m_override", int), ("seed", int), ("h", float)):
+            if merged.get(key) is not None:
+                kw[key] = cast(merged[key])
+        if merged.get("window") is not None:
+            w = merged["window"]
+            if isinstance(w, str):
+                parts = w.split(",")
+                if len(parts) != 2:
+                    raise ValidationError('window must be "lo,hi"')
+                w = (float(parts[0]), float(parts[1]))
+            kw["window"] = tuple(w)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     if merged.get("out") is not None:
         kw["out"] = str(merged["out"])
     return JobConfig(**kw)

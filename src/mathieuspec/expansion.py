@@ -290,7 +290,7 @@ def reconstruct(pot: MathieuPotential, f: TestFunction, plan: ExpansionPlan,
     pairing windows around 0 and pi plus the bulk.
     """
     if not plan.allow_mismatch:
-        verdict = spc.classify_operator(pot).expansion_form
+        verdict = spc.expansion_form(pot)
         if verdict != plan.form:
             raise FormMismatchError(
                 f"plan form {plan.form!r} vs classified {verdict!r}; "

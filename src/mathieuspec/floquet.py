@@ -191,11 +191,11 @@ def eig(op: TruncatedOperator) -> EigenSolution:
 
     The residual certificates ||A v - lambda v|| and ||A^H w - conj(lambda) w||
     are evaluated from the three diagonals rather than by dense products.
-    The dense matrix is built only for the non-Hermitian solve and for the
-    singular values of clustered eigenvalues.
+    The dense matrix is built only for the non-Hermitian solve, whose
+    clusters also take their singular values from it; a Hermitian
+    cluster's singular values are the eigenvalue distances themselves.
     """
     scale = op.scale
-    dense = None
     try:
         if op.is_hermitian:
             off = np.full(op.size - 1, abs(op.super))
@@ -233,10 +233,13 @@ def eig(op: TruncatedOperator) -> EigenSolution:
         if bidiagonal:
             flags[cl] = True
             continue
-        if dense is None:
-            dense = op.to_dense()
         mean = w[cl].mean()
-        sv = np.linalg.svd(dense - mean * np.eye(len(w)), compute_uv=False)
+        if op.is_hermitian:
+            # A - mean I is normal: its singular values are |w - mean|
+            sv = np.abs(w - mean)
+        else:
+            sv = np.linalg.svd(dense - mean * np.eye(len(w)),
+                               compute_uv=False)
         gm = int(np.sum(sv < GM_RTOL * max(scale, 1.0)))
         if gm < len(cl):
             flags[cl] = True

@@ -475,6 +475,20 @@ class SpectralityReport:
         }
 
 
+def expansion_form(pot: MathieuPotential) -> str:
+    """The expansion-form label, decided by the coupling product alone.
+
+    Zero product -> endpoint-paired form, |ab| < 16/9 (every endpoint
+    eigenvalue simple) -> term-by-term form, otherwise the grouped form.
+    """
+    ab = pot.ab
+    if ab == 0:
+        return GASYMOV
+    if abs(ab) < COUPLING_SIMPLE_BOUND:
+        return ELEGANT
+    return ASYMPTOTICALLY_ELEGANT
+
+
 def classify_operator(pot: MathieuPotential,
                       alpha_input: Union[Fraction, float, None] = None,
                       singularity_window: Optional[Tuple[float, float]] = None,
@@ -484,8 +498,7 @@ def classify_operator(pot: MathieuPotential,
 
     The asymptotic-spectrality conjunction needs |a| = |b| plus the
     odd-integer-avoidance condition on arg(ab)/pi.  The expansion form is
-    decided by the coupling product alone: zero product -> endpoint-paired
-    form, small product -> term-by-term form, otherwise the grouped form.
+    ``expansion_form(pot)``.
     Singularity detection and the bounded-n integral evidence only run
     when a window / scan depth is requested.
     """
@@ -502,7 +515,7 @@ def classify_operator(pot: MathieuPotential,
             modulus_equal=True, diophantine=None,
             asymptotically_spectral="holds",
             singularities=[], ess=[], ess_at_infinity="fails",
-            expansion_form=GASYMOV,
+            expansion_form=expansion_form(pot),
             notes=notes + ["coupling product is zero, so the endpoint-paired "
                            "form is emitted even though the plain expansion "
                            "already converges"])
@@ -535,13 +548,6 @@ def classify_operator(pot: MathieuPotential,
         spectral = "undecided-float"
 
     ab = pot.ab
-    if ab == 0:
-        form = GASYMOV
-    elif abs(ab) < COUPLING_SIMPLE_BOUND:
-        form = ELEGANT
-    else:
-        form = ASYMPTOTICALLY_ELEGANT
-
     if ab != 0 and ab.imag == 0:
         if pot.is_self_adjoint:
             notes.append("self-adjoint potential: spectral operator")
@@ -573,6 +579,6 @@ def classify_operator(pot: MathieuPotential,
     return SpectralityReport(
         modulus_equal=modulus_equal, diophantine=verdict,
         asymptotically_spectral=spectral, singularities=singular, ess=ess,
-        ess_at_infinity=ess_inf, expansion_form=form,
+        ess_at_infinity=ess_inf, expansion_form=expansion_form(pot),
         alpha=alpha_val, alpha_exact=alpha_exact, notes=notes,
         ess_at_infinity_evidence=evidence)

@@ -1,14 +1,147 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from mathieuspec import (A_series, D_of, MathieuPotential, PoleProximityError,
                          ValidationError, a_series_term, antiperiodic_pair,
                          asymptotic_lambda, b_series_leading, b_series_term,
                          find_critical_points, periodic_pair, predict_double)
+from mathieuspec.asymptotic import _denominator
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
+FAMILIES = ("periodic", "antiperiodic")
+
+
+def _walk_sum_reference(pot, n, lam, t, k, family, primed, closing):
+    """Reference series term: every +-1 walk of length k, one at a time."""
+    m = 2 * n if family == "periodic" else 2 * n + 1
+    center = n + 1 if primed and family == "antiperiodic" else n
+    forb = {0, -m} if primed else {0, m}
+    q = {-1: pot.a, 1: pot.b}
+    total = 0.0j
+    for steps in itertools.product((-1, 1), repeat=k):
+        part = 0
+        coef = 1.0 + 0.0j
+        denom = 1.0 + 0.0j
+        ok = True
+        for st in steps:
+            part += st
+            if part in forb:
+                ok = False
+                break
+            coef *= q[st]
+            if primed:
+                freq = TWO_PI * (center + part) - t
+            else:
+                freq = TWO_PI * (center - part) + t
+            denom *= _denominator(lam, freq)
+        if not ok:
+            continue
+        if closing == "a":
+            idx = -part
+        else:
+            idx = (-m - part) if primed else (m - part)
+        if idx in (-1, 1):
+            total += q[idx] * coef / denom
+    return total
+
+
+def _a_series_reference(pot, n, lam, t, k_max, family, primed):
+    return sum(_walk_sum_reference(pot, n, lam, t, k, family, primed, "a")
+               for k in range(1, k_max + 1, 2))
+
+
+def _zone_point(rng, n, family):
+    """A quasimomentum in the family's zone and a lambda near the band."""
+    if family == "periodic":
+        t = float(rng.uniform(0.0, 0.02))
+    else:
+        t = PI - float(rng.uniform(0.0, 0.02))
+    lam = complex((TWO_PI * n + t) ** 2 + rng.uniform(-3.0, 3.0),
+                  rng.uniform(-1.0, 1.0))
+    return t, lam
+
+
+class TestWalkSumsAgainstEnumeration:
+    """The partial-sum pass against the walk-by-walk enumeration."""
+
+    @pytest.mark.parametrize("which", ["random", "a=0", "b=0"])
+    def test_terms_and_series(self, which):
+        rng = np.random.default_rng({"random": 1, "a=0": 2, "b=0": 3}[which])
+        for n in range(1, 7):
+            for family in FAMILIES:
+                for primed in (False, True):
+                    a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+                    if which == "a=0":
+                        a = 0.0
+                    elif which == "b=0":
+                        b = 0.0
+                    pot = MathieuPotential(a, b)
+                    t, lam = _zone_point(rng, n, family)
+                    for k in range(1, 10):
+                        for got, closing in (
+                                (a_series_term(pot, n, lam, t, k, family,
+                                               primed), "a"),
+                                (b_series_term(pot, n, lam, t, k, family,
+                                               primed), "b")):
+                            want = _walk_sum_reference(pot, n, lam, t, k,
+                                                       family, primed,
+                                                       closing)
+                            assert got == pytest.approx(want, rel=1e-12,
+                                                        abs=0)
+                    got = A_series(pot, n, lam, t, 9, family, primed).value
+                    want = _a_series_reference(pot, n, lam, t, 9, family,
+                                               primed)
+                    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_pole_at_reached_partial_sum(self, family, primed):
+        # partial sums +-1 are reached by a first step: both raise, also
+        # when a = 0 gives every walk through -1 zero weight
+        n = 2
+        t = 0.003 if family == "periodic" else PI - 0.003
+        center = n + 1 if primed and family == "antiperiodic" else n
+        for pot in (MathieuPotential(0.8 - 0.3j, 1.1 + 0.2j),
+                    MathieuPotential(0, 1.1 + 0.2j)):
+            for part in (1, -1):
+                freq = (TWO_PI * (center + part) - t if primed
+                        else TWO_PI * (center - part) + t)
+                lam = freq ** 2 + 1e-7 * (0.6 + 0.8j)
+                with pytest.raises(PoleProximityError):
+                    _walk_sum_reference(pot, n, lam, t, 5, family, primed,
+                                        "a")
+                with pytest.raises(PoleProximityError):
+                    a_series_term(pot, n, lam, t, 5, family, primed)
+                with pytest.raises(PoleProximityError):
+                    b_series_term(pot, n, lam, t, 5, family, primed)
+                with pytest.raises(PoleProximityError):
+                    A_series(pot, n, lam, t, 9, family, primed)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_pole_only_behind_forbidden_sum(self, family, primed):
+        # the forbidden sum itself and the sum one step past it are reached
+        # only by walks already dropped: neither path raises
+        pot = MathieuPotential(0.8 - 0.3j, 1.1 + 0.2j)
+        n = 2
+        m = 2 * n if family == "periodic" else 2 * n + 1
+        t = 0.003 if family == "periodic" else PI - 0.003
+        center = n + 1 if primed and family == "antiperiodic" else n
+        for part in ((0, -m, -m - 1) if primed else (0, m, m + 1)):
+            freq = (TWO_PI * (center + part) - t if primed
+                    else TWO_PI * (center - part) + t)
+            lam = complex(freq ** 2)
+            for k in range(1, 10):
+                for closing, fn in (("a", a_series_term),
+                                    ("b", b_series_term)):
+                    want = _walk_sum_reference(pot, n, lam, t, k, family,
+                                               primed, closing)
+                    got = fn(pot, n, lam, t, k, family, primed)
+                    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestLeadingCouplingTerm:

@@ -109,6 +109,25 @@ class TestCommands:
         assert payload["form"] == "Gasymov"
         assert payload["max_residual"] <= 1e-5
 
+    def test_expand_classifies_once(self, tmp_path, monkeypatch):
+        # the plan and the form guard share one classification: the
+        # Diophantine scan runs once per job
+        import mathieuspec.spectrality as spc
+        calls = []
+        real = spc.check_diophantine
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spc, "check_diophantine", counting)
+        rc = main(["expand", "--a", "0.6", "--b", "0+0.6i", "--nmax", "2",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(calls) == 1
+        payload = json.loads((tmp_path / "expansion.json").read_text())
+        assert payload["form"] == "Elegant"
+
     def test_singularities_one_sided(self, tmp_path):
         rc = main(["singularities", "--a", "0", "--b", "1",
                    "--window", "30,100", "--out", str(tmp_path)])
@@ -129,6 +148,35 @@ class TestCommands:
         assert "PASS" in out and "FAIL" not in out
         payload = json.loads((tmp_path / "verify.json").read_text())
         assert payload["all_pass"]
+
+    def test_negative_amplitude_literal(self, tmp_path):
+        rc = main(["classify", "--a", "-0.5+0.5i", "--b", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        cfg = config_from_argv(["classify", "--a", "-0.5+0.5i",
+                                "--b", "-2", "--nmax", "3"])
+        assert cfg.a == -0.5 + 0.5j and cfg.b == -2.0 and cfg.n_max == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--a", "1", "--b", "1", "--nmax", "abc"],
+        ["classify", "--a", "1", "--b", "1", "--window", "0,x"],
+        ["classify", "--a", "--b", "1"],
+        ["classify", "--a", "1", "--bogus", "3"],
+        ["nope"],
+        [],
+    ])
+    def test_parse_error_exit_code(self, argv, capsys):
+        # argparse's usage text and exit 2 would read as numerical failure
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["error"] == "ValidationError"
+        assert captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "-h"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
     def test_bad_literal_exit_code(self, tmp_path, capsys):
         rc = main(["classify", "--a", "abc", "--b", "1",

@@ -8,7 +8,8 @@ from mathieuspec import (MathieuPotential, MultipleEigenvalueError,
                          ValidationError, adjoint_solution, assemble,
                          bloch_function, default_grid, discriminant, eig,
                          track_curves, two_periodic_pair)
-from mathieuspec.floquet import CLUSTER_RTOL, _cluster_indices, stable_m
+from mathieuspec.floquet import (CLUSTER_RTOL, GM_RTOL, _cluster_indices,
+                                 stable_m)
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
@@ -98,6 +99,33 @@ class TestEig:
             assert res <= 1e-8 * op.scale
             assert lres <= 1e-8 * op.scale
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+    def test_hermitian_deficiency_matches_svd(self):
+        # self-adjoint clusters are flagged from |lambda_i - mean|; the
+        # dense singular values of A - mean I must give the same flags
+        clusters = flagged = 0
+        for pot in (MathieuPotential(0.5, 0.5),
+                    MathieuPotential(0.4 + 0.3j, 0.4 - 0.3j),
+                    MathieuPotential(1 + 0.5j, 1 - 0.5j),
+                    MathieuPotential(2, 2)):
+            for t in (0.0, PI, 1e-9, PI - 1e-9):
+                for m in (12, 24, 40):
+                    op = assemble(pot, t, m)
+                    assert op.is_hermitian
+                    sol = eig(op)
+                    a = op.to_dense()
+                    want = np.zeros(len(sol.lambdas), dtype=bool)
+                    for cl in sol.clusters:
+                        mean = sol.lambdas[cl].mean()
+                        sv = np.linalg.svd(a - mean * np.eye(len(a)),
+                                           compute_uv=False)
+                        if np.sum(sv < GM_RTOL * max(op.scale, 1.0)) < len(cl):
+                            want[cl] = True
+                    assert np.array_equal(sol.deficiency_flags, want)
+                    clusters += len(sol.clusters)
+                    flagged += int(want.sum())
+        # both outcomes are exercised: clustered band edges, some flagged
+        assert clusters > 100 and flagged > 0
 
     def test_unit_norm(self):
         sol = eig(assemble(MathieuPotential(1 - 0.3j, 0.4), 1.2, 10))
