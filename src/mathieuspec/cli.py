@@ -213,9 +213,11 @@ def _cmd_spectrum(cfg: JobConfig, out: Path) -> dict:
                                _fmt(lam.imag), _fmt(res)]))
     (out / "curves.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     anchor = math.pi / 2
+    anchor_sol = flq.eig(flq.assemble(pot, anchor, curves.M))
     for n in curves.n_values:
         bf, _ = flq.bloch_function(pot, anchor, n, M=curves.M,
-                                   lambda_ref=curves.value(n, anchor))
+                                   lambda_ref=curves.value(n, anchor),
+                                   solution=anchor_sol)
         rows = ["k,re_c,im_c"]
         rows.extend(",".join([str(int(k)), _fmt(c.real), _fmt(c.imag)])
                     for k, c in zip(bf.ks, bf.coeffs))
@@ -342,10 +344,13 @@ def _cmd_verify(cfg: JobConfig, out: Path) -> dict:
     solver = spc.make_solver(pot, 3, max(cfg.t_points, 64))
     t_s = 0.83
     got_p = spc._dn_eigenvector(solver, 2, t_s)
-    got_m = spc._dn_eigenvector(solver, 2, -t_s)
-    if got_p and got_m:
-        check("dn-symmetry", abs(got_p[0] - got_m[0]) <= 1e-8,
-              f"|d(t)-d(-t)|={abs(got_p[0] - got_m[0]):.3e}")
+    # the solver reflects -t from t; solve -t directly to test the operator
+    direct = flq.eig(flq.assemble(pot, -t_s, solver.M))
+    i = direct.nearest(solver.curves.value(2, -t_s))
+    if got_p and not direct.is_clustered(i):
+        d_m = abs(np.vdot(direct.left_vectors[:, i], direct.vectors[:, i]))
+        check("dn-symmetry", abs(got_p[0] - d_m) <= 1e-8,
+              f"|d(t)-d(-t)|={abs(got_p[0] - d_m):.3e}")
     lam, v, w, status = solver.band(t_s, 2)
     res = abs(hill_discriminant(pot, lam) - 2.0 * math.cos(t_s))
     check("oracle-equivalence", res <= 1e-7, f"|F-2cos t|={res:.3e}")

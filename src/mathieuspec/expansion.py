@@ -300,11 +300,13 @@ def reconstruct(pot: MathieuPotential, f: TestFunction, plan: ExpansionPlan,
     acc = _Accumulator(pot, f, solver, eval_points)
     bands = list(range(-plan.n_max, plan.n_max + 1))
 
+    # every negative node is the exact negation of a positive one, so the
+    # solver reads its eigenpairs off the positive node by reflection
     if plan.form in (spc.ELEGANT, spc.ASYMPTOTICALLY_ELEGANT):
-        for (lo, hi) in ((-math.pi + 1e-12, 0.0), (0.0, math.pi)):
-            nodes, weights = _uniform_nodes(lo, hi, plan.panels_per_half,
-                                            plan.gl_points)
-            acc.add_single(nodes, weights, bands)
+        nodes, weights = _uniform_nodes(0.0, math.pi, plan.panels_per_half,
+                                        plan.gl_points)
+        acc.add_single(-nodes[::-1], weights[::-1], bands)
+        acc.add_single(nodes, weights, bands)
     else:
         h = plan.h
         # pairing window around 0: n = 0 alone plus (n, -n) pairs
@@ -323,10 +325,10 @@ def reconstruct(pot: MathieuPotential, f: TestFunction, plan: ExpansionPlan,
                                        plan.gl_points, +1)
         acc.add_pairs(nodes, weights, pi_pairs)
         # bulk
-        for (lo, hi) in ((h, math.pi - h), (-math.pi + h, -h)):
-            nodes, weights = _uniform_nodes(lo, hi, plan.panels_per_half,
-                                            plan.gl_points)
-            acc.add_single(nodes, weights, bands)
+        nodes, weights = _uniform_nodes(h, math.pi - h, plan.panels_per_half,
+                                        plan.gl_points)
+        acc.add_single(nodes, weights, bands)
+        acc.add_single(-nodes[::-1], weights[::-1], bands)
 
     rec = acc.total / TWO_PI
     truth = f(acc.x)

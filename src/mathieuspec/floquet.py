@@ -114,8 +114,9 @@ class EigenSolution:
     ``vectors[:, i]`` is the unit right eigenvector for ``lambdas[i]``;
     ``left_vectors[:, i]`` solves the conjugate-transpose problem at
     conj(lambdas[i]) and is the matching adjoint eigenfunction.
-    ``deficiency_flags[i]`` marks members of clusters whose geometric
-    multiplicity falls short of the cluster size.
+    ``is_deficient(i)`` tells whether i's cluster has a geometric
+    multiplicity short of its size; each cluster is decided on first
+    request.
     """
 
     op: TruncatedOperator
@@ -124,8 +125,11 @@ class EigenSolution:
     left_vectors: np.ndarray
     residuals: np.ndarray
     left_residuals: np.ndarray
-    deficiency_flags: np.ndarray
     clusters: List[List[int]]
+    #: the solution this one is the reflection of; its clusters are
+    #: decided there, so both signs of t share one verdict per cluster
+    _source: Optional["EigenSolution"] = field(default=None, repr=False)
+    _verdicts: Dict[int, bool] = field(default_factory=dict, repr=False)
 
     @property
     def scale(self) -> float:
@@ -142,6 +146,26 @@ class EigenSolution:
 
     def is_clustered(self, i: int) -> bool:
         return len(self.cluster_of(i)) > 1
+
+    def is_deficient(self, i: int) -> bool:
+        """Whether eigenvalue i sits in a cluster short of eigenvectors."""
+        if self._source is not None:
+            return self._source.is_deficient(i)
+        for c, cl in enumerate(self.clusters):
+            if i in cl:
+                if c not in self._verdicts:
+                    self._verdicts[c] = _cluster_deficient(
+                        self.op, self.lambdas, cl)
+                return self._verdicts[c]
+        return False
+
+    @property
+    def deficiency_flags(self) -> np.ndarray:
+        """``is_deficient`` for every eigenvalue (decides every cluster)."""
+        flags = np.zeros(len(self.lambdas), dtype=bool)
+        for cl in self.clusters:
+            flags[cl] = self.is_deficient(cl[0])
+        return flags
 
 
 def _cluster_indices(lams: np.ndarray, rtol: float) -> List[List[int]]:
@@ -191,9 +215,10 @@ def eig(op: TruncatedOperator) -> EigenSolution:
 
     The residual certificates ||A v - lambda v|| and ||A^H w - conj(lambda) w||
     are evaluated from the three diagonals rather than by dense products.
-    The dense matrix is built only for the non-Hermitian solve, whose
-    clusters also take their singular values from it; a Hermitian
-    cluster's singular values are the eigenvalue distances themselves.
+    The dense matrix is built only for the non-Hermitian solve.  Clusters
+    are found here, but whether one is deficient is decided only when a
+    caller asks (``EigenSolution.is_deficient``), so the clusters at the
+    truncation edge that no band label reaches cost no singular values.
     """
     scale = op.scale
     try:
@@ -223,29 +248,48 @@ def eig(op: TruncatedOperator) -> EigenSolution:
             f"eigensolver residual {res[bad].max():.3e} exceeds certificate "
             f"at t={op.t!r}")
     clusters = [c for c in _cluster_indices(w, CLUSTER_RTOL) if len(c) > 1]
-    flags = np.zeros(len(w), dtype=bool)
+    return EigenSolution(op=op, lambdas=w, vectors=vr, left_vectors=vl,
+                         residuals=res, left_residuals=lres,
+                         clusters=clusters)
+
+
+def _cluster_deficient(op: TruncatedOperator, lams: np.ndarray,
+                       cl: List[int]) -> bool:
+    """Geometric multiplicity of the cluster ``cl`` below its size?"""
     # exactly one zero coupling -> bidiagonal; repeated diagonal values then
     # have a one-dimensional eigenspace (the kernel recursion has a single
     # free parameter), which no singular-value threshold can see once the
     # Jordan chain vector norm explodes
-    bidiagonal = (op.super == 0) != (op.sub == 0)
-    for cl in clusters:
-        if bidiagonal:
-            flags[cl] = True
-            continue
-        mean = w[cl].mean()
-        if op.is_hermitian:
-            # A - mean I is normal: its singular values are |w - mean|
-            sv = np.abs(w - mean)
-        else:
-            sv = np.linalg.svd(dense - mean * np.eye(len(w)),
-                               compute_uv=False)
-        gm = int(np.sum(sv < GM_RTOL * max(scale, 1.0)))
-        if gm < len(cl):
-            flags[cl] = True
-    return EigenSolution(op=op, lambdas=w, vectors=vr, left_vectors=vl,
-                         residuals=res, left_residuals=lres,
-                         deficiency_flags=flags, clusters=clusters)
+    if (op.super == 0) != (op.sub == 0):
+        return True
+    mean = lams[cl].mean()
+    if op.is_hermitian:
+        # A - mean I is normal: its singular values are |lams - mean|
+        sv = np.abs(lams - mean)
+    else:
+        sv = np.linalg.svd(op.to_dense() - mean * np.eye(op.size),
+                           compute_uv=False)
+    return int(np.sum(sv < GM_RTOL * max(op.scale, 1.0))) < len(cl)
+
+
+def _reflect(sol: EigenSolution) -> EigenSolution:
+    """The solution at -t read off the solution at t, without a solve.
+
+    With P the reversal k -> -k, H_{-t} = P H_t^T P entry for entry,
+    truncation included.  So if A v = lam v and A^H w = conj(lam) w at t,
+    then P conj(w) is a right and P conj(v) a left eigenvector of H_{-t}
+    for the same lam: the eigenvalues, their order and the clusters carry
+    over, and the two residuals trade places.
+    """
+    op = sol.op
+    mirror = TruncatedOperator(t=-op.t, M=op.M, diag=op.diag[::-1].copy(),
+                               super=op.super, sub=op.sub)
+    return EigenSolution(op=mirror, lambdas=sol.lambdas,
+                         vectors=np.conj(sol.left_vectors[::-1]),
+                         left_vectors=np.conj(sol.vectors[::-1]),
+                         residuals=sol.left_residuals,
+                         left_residuals=sol.residuals,
+                         clusters=sol.clusters, _source=sol)
 
 
 def adjoint_solution(pot: MathieuPotential, t: float, M: int) -> EigenSolution:
@@ -413,7 +457,7 @@ def bloch_function(pot: MathieuPotential, t: float, n: int,
         lambda_ref = free_lambda(n, t)
     i = sol.nearest(lambda_ref)
     if sol.is_clustered(i):
-        if sol.deficiency_flags[i]:
+        if sol.is_deficient(i):
             raise MultipleEigenvalueError(
                 f"eigenvalue near {lambda_ref:.6g} at t={t!r} is deficient")
         two_periodic = (t == 0.0 or abs(t) == math.pi) and not pot.is_free
@@ -667,7 +711,8 @@ class BandSolver:
 
     Resolves (n, t) -> (lambda, Psi coefficients, adjoint coefficients)
     for any t in (-pi, pi], reusing one matrix factorization per distinct
-    quasimomentum and the tracked curves as labeling references.
+    |t| (a negative t is the reflection of its positive twin) and the
+    tracked curves as labeling references.
     """
 
     def __init__(self, pot: MathieuPotential, curves: BlochCurveSet):
@@ -680,7 +725,13 @@ class BandSolver:
                 self._cache[float(t)] = s
 
     def solution(self, t: float) -> EigenSolution:
+        """The solution at t; for t < 0 it is reflected from the one at -t."""
         t = float(t)
+        if t < 0 and t not in self._cache:
+            self._cache[t] = _reflect(self._solve(-t))
+        return self._solve(t)
+
+    def _solve(self, t: float) -> EigenSolution:
         if t not in self._cache:
             self._cache[t] = eig(assemble(self.pot, t, self.M))
         return self._cache[t]
@@ -696,7 +747,7 @@ class BandSolver:
         """
         sol = self.solution(t)
         i = sol.nearest(self.curves.value(n, t))
-        if sol.deficiency_flags[i]:
+        if sol.is_deficient(i):
             status = "deficient"
         elif sol.is_clustered(i):
             status = "clustered"

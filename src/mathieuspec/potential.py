@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
+import numpy as np
+
 from .errors import DegenerateProductError, ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -295,23 +297,26 @@ def _float_scan(alpha: float, search_bound: int, step: int, start: int):
     """min_q over the multiplier family of dist(q|alpha|, odd integers).
 
     Returns (best_distance, witness, profile) where profile records the
-    rate diagnostic q * dist at every record-setting q.
+    rate diagnostic q * dist at every record-setting q.  For each q the two
+    odd candidates 2p - 1 and 2p + 1 around q|alpha| are compared, a tie
+    going to the smaller p; a record is a strict improvement on every
+    earlier q.
     """
-    x = abs(alpha)
-    best = math.inf
-    witness = None
-    profile = []
-    q = start
-    while q <= search_bound:
-        v = q * x
-        p = max(1, math.floor((v + 1.0) / 2.0))
-        dist, pick = min((abs(v - (2 * pp - 1)), pp) for pp in (p, p + 1))
-        if dist < best:
-            best = dist
-            witness = (q, pick)
-            profile.append((q, q * dist))
-        q += step
-    return best, witness, profile
+    q = np.arange(start, search_bound + 1, step)
+    if len(q) == 0:
+        return math.inf, None, []
+    v = q * abs(alpha)
+    p = np.maximum(1.0, np.floor((v + 1.0) / 2.0))
+    d_lo = np.abs(v - (2.0 * p - 1.0))
+    d_hi = np.abs(v - (2.0 * p + 1.0))
+    take_hi = d_hi < d_lo
+    dist = np.where(take_hi, d_hi, d_lo)
+    pick = p + take_hi
+    earlier = np.concatenate([[math.inf], np.minimum.accumulate(dist)[:-1]])
+    records = np.flatnonzero(dist < earlier)
+    profile = [(int(q[j]), float(q[j] * dist[j])) for j in records]
+    last = records[-1]
+    return float(dist[last]), (int(q[last]), int(pick[last])), profile
 
 
 def check_diophantine(alpha: Union[Fraction, float, int],
@@ -340,6 +345,8 @@ def check_diophantine(alpha: Union[Fraction, float, int],
         )
     if search_bound > 1_000_000:
         raise ValidationError("float-mode search_bound capped at 1e6")
+    if not math.isfinite(alpha):
+        raise ValidationError("alpha must be finite")
     best8, wit8, prof8 = _float_scan(float(alpha), search_bound, 1, 1)
     best_ev, _, _ = _float_scan(float(alpha), search_bound, 2, 2)
     best_od, _, _ = _float_scan(float(alpha), search_bound, 2, 3)

@@ -79,7 +79,7 @@ def _dn_eigenvector(solver: flq.BandSolver, n: int, t: float):
         sol = solver.solution(t)
         i = sol.nearest(solver.curves.value(n, t))
         if sol.is_clustered(i):
-            if sol.deficiency_flags[i] or pot.ab == 0:
+            if sol.is_deficient(i) or pot.ab == 0:
                 return None
             try:
                 pair = flq.two_periodic_pair(pot, n, at_pi=abs(t) == math.pi,
@@ -350,7 +350,7 @@ def detect_singularities(pot: MathieuPotential, window: Tuple[float, float],
                 cp.family = "interior"
                 singular.append(cp)
                 continue
-            deficient = bool(sol.deficiency_flags[i])
+            deficient = sol.is_deficient(i)
             gm = 1 if deficient else len(cluster)
             if not deficient:
                 continue  # semisimple double: projections stay bounded

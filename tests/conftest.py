@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mathieuspec import MathieuPotential, make_solver
+from mathieuspec import MathieuPotential, assemble, eig, make_solver
 
 POTS = {
     "free": MathieuPotential(0, 0),
@@ -23,6 +23,22 @@ def solvers():
         if key not in cache:
             cache[key] = make_solver(POTS[name], n_max, t_points)
         return cache[key]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def dn_direct():
+    """|d_n(t)| from a direct eigensolve at t, labeled by the solver's curve.
+
+    A BandSolver reads t < 0 off the solution at |t| by reflection; this
+    solves the operator at t itself, so a +-t comparison still tests it.
+    """
+    def get(solver, n, t):
+        sol = eig(assemble(solver.pot, t, solver.M))
+        i = sol.nearest(solver.curves.value(n, t))
+        assert not sol.is_clustered(i)
+        return abs(np.vdot(sol.left_vectors[:, i], sol.vectors[:, i]))
 
     return get
 

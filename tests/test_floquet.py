@@ -7,9 +7,10 @@ import scipy.linalg as sla
 from mathieuspec import (MathieuPotential, MultipleEigenvalueError,
                          ValidationError, adjoint_solution, assemble,
                          bloch_function, default_grid, discriminant, eig,
-                         track_curves, two_periodic_pair)
+                         make_solver, track_curves, two_periodic_pair)
+from mathieuspec import floquet as flq
 from mathieuspec.floquet import (CLUSTER_RTOL, GM_RTOL, _cluster_indices,
-                                 stable_m)
+                                 _reflect, stable_m)
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
@@ -203,6 +204,154 @@ class TestClusterIndices:
         empty = np.array([], dtype=complex)
         assert _cluster_indices(empty, CLUSTER_RTOL) == []
         assert _cluster_indices(np.array([2.0 + 0j]), CLUSTER_RTOL) == [[0]]
+
+
+def _eager_flags(sol):
+    """Reference: the per-cluster loop eig ran on every solve before the
+    deficiency verdicts went on demand."""
+    op, w = sol.op, sol.lambdas
+    dense = op.to_dense()
+    flags = np.zeros(len(w), dtype=bool)
+    bidiagonal = (op.super == 0) != (op.sub == 0)
+    for cl in sol.clusters:
+        if bidiagonal:
+            flags[cl] = True
+            continue
+        mean = w[cl].mean()
+        if op.is_hermitian:
+            sv = np.abs(w - mean)
+        else:
+            sv = np.linalg.svd(dense - mean * np.eye(len(w)),
+                               compute_uv=False)
+        if int(np.sum(sv < GM_RTOL * max(op.scale, 1.0))) < len(cl):
+            flags[cl] = True
+    return flags
+
+
+@pytest.fixture
+def svd_count(monkeypatch):
+    """Counts the dense SVDs made while the test runs."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+class TestOnDemandDeficiency:
+    def test_matches_eager_loop(self):
+        rng = np.random.default_rng(3)
+        kinds = set()
+        for pot in (MathieuPotential(1 + 0.5j, 1 - 0.5j),   # Hermitian
+                    MathieuPotential(1, 2), MathieuPotential(1, -1),
+                    MathieuPotential(0, 1), MathieuPotential(1.5, 0)):
+            for t in (0.0, PI, 1e-9, PI - 1e-9):
+                for m in (12, 24):
+                    sol = eig(assemble(pot, t, m))
+                    want = _eager_flags(sol)
+                    # ask in a random order first: a verdict must not
+                    # depend on which member of its cluster asked
+                    for i in rng.permutation(len(sol.lambdas))[:10]:
+                        assert sol.is_deficient(int(i)) == want[i]
+                    assert np.array_equal(sol.deficiency_flags, want)
+                    if sol.clusters:
+                        kinds.add(bool(want.any()))
+        assert kinds == {True, False}
+
+    def test_tracking_makes_no_svd(self, svd_count):
+        track_curves(MathieuPotential(0.5 + 0.2j, 0.3 - 0.6j),
+                     n_range=range(-3, 4))
+        assert svd_count == []
+
+    def test_one_svd_per_cluster(self, svd_count):
+        solver = make_solver(MathieuPotential(1, 2), 2)
+        assert svd_count == []
+        sol = solver.solution(0.0)
+        i = sol.nearest(solver.curves.value(2, 0.0))
+        assert sol.is_clustered(i)
+        # (2, -2) share one cluster at t = 0
+        for _ in range(3):
+            for n in (2, -2):
+                assert solver.band(0.0, n)[3] == "clustered"
+        assert len(svd_count) == 1
+        # (2, -3) share one at t = pi, and -pi, reflected from pi, reads
+        # the same verdict
+        for t in (PI, -PI, PI):
+            for n in (2, -3):
+                assert solver.band(t, n)[3] == "clustered"
+        assert len(svd_count) == 2
+
+
+REFLECTION_POTS = {
+    "eq": MathieuPotential(0.8 + 0.6j, 0.6 - 0.8j),
+    "un": MathieuPotential(0.5 + 0.2j, 0.3 - 0.6j),
+    "sa": MathieuPotential(1 + 0.5j, 1 - 0.5j),
+    "os": MathieuPotential(0, 1),
+}
+
+
+class TestReflection:
+    @pytest.mark.parametrize("name", sorted(REFLECTION_POTS))
+    def test_matches_direct_solve(self, name):
+        pot = REFLECTION_POTS[name]
+        for t in (0.37, 1.9, 1e-9, PI - 1e-9, PI):
+            for m in (12, 32):
+                sol = eig(assemble(pot, t, m))
+                ref = _reflect(sol)
+                op = assemble(pot, -t, m)
+                direct = eig(op)
+                assert ref.op.t == -t
+                assert np.array_equal(ref.op.diag, op.diag)
+                scale = op.scale
+                assert np.max(np.abs(np.sort_complex(ref.lambdas)
+                                     - np.sort_complex(direct.lambdas))) \
+                    <= 1e-12 * scale
+                eps = np.finfo(float).eps
+                for i in range(len(ref.lambdas)):
+                    if ref.is_clustered(i):
+                        continue
+                    j = direct.nearest(ref.lambdas[i])
+                    d_ref = abs(np.vdot(ref.left_vectors[:, i],
+                                        ref.vectors[:, i]))
+                    d_dir = abs(np.vdot(direct.left_vectors[:, j],
+                                        direct.vectors[:, j]))
+                    # a near-double (the unequal pair at pi - 1e-9 is 7e-5
+                    # apart) moves |d| by rounding / gap in any solve
+                    gap = np.partition(np.abs(ref.lambdas - ref.lambdas[i]),
+                                       1)[1]
+                    assert abs(d_ref - d_dir) <= max(1e-10,
+                                                     eps * scale / gap)
+                # the copied certificates hold for the reflected vectors
+                res = np.linalg.norm(op.apply(ref.vectors)
+                                     - ref.vectors * ref.lambdas, axis=0)
+                lres = np.linalg.norm(
+                    op.apply(ref.left_vectors, adjoint=True)
+                    - ref.left_vectors * np.conj(ref.lambdas), axis=0)
+                assert np.max(np.abs(res - ref.residuals)) <= eps * scale
+                assert np.max(np.abs(lres - ref.left_residuals)) \
+                    <= eps * scale
+                cert = 1e-8 * max(scale, 1.0)
+                assert res.max() <= cert and lres.max() <= cert
+                # the two solves order their eigenvalues differently
+                match = [direct.nearest(lam) for lam in ref.lambdas]
+                assert np.array_equal(ref.deficiency_flags,
+                                      direct.deficiency_flags[match])
+                assert sorted(map(len, ref.clusters)) == \
+                    sorted(map(len, direct.clusters))
+
+    def test_solver_reflects_negative_t(self, monkeypatch):
+        solver = make_solver(MathieuPotential(1, 2), 2)
+        t = float(solver.curves.t_samples[40])
+        calls = []
+        monkeypatch.setattr(flq, "eig", lambda op: calls.append(op))
+        sol = solver.solution(-t)
+        assert calls == []
+        assert sol.op.t == -t and sol is solver.solution(-t)
+        assert np.array_equal(sol.lambdas, solver.solution(t).lambdas)
 
 
 class TestAdjoint:

@@ -1,7 +1,9 @@
 import cmath
+import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from mathieuspec import (DegenerateProductError, LogComplex, MathieuPotential,
                          asymptotic_constants, check_diophantine,
                          format_complex, parse_complex, parse_rational,
                          periodic_pair, snap_rational)
+from mathieuspec.potential import _float_scan
 
 TWO_PI = 2.0 * math.pi
 
@@ -163,6 +166,62 @@ class TestDiophantine:
         assert snap_rational(0.5) == Fraction(1, 2)
         assert snap_rational(1.0) == Fraction(1)
         assert snap_rational(0.123456789) is None
+
+    def test_float_rejects_non_finite(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                check_diophantine(bad)
+
+
+def _loop_float_scan(alpha, search_bound, step, start):
+    """Reference scan: one q at a time, the candidates as (dist, p) tuples."""
+    x = abs(alpha)
+    best = math.inf
+    witness = None
+    profile = []
+    q = start
+    while q <= search_bound:
+        v = q * x
+        p = max(1, math.floor((v + 1.0) / 2.0))
+        dist, pick = min((abs(v - (2 * pp - 1)), pp) for pp in (p, p + 1))
+        if dist < best:
+            best = dist
+            witness = (q, pick)
+            profile.append((q, q * dist))
+        q += step
+    return best, witness, profile
+
+
+class TestFloatScan:
+    FAMILIES = ((1, 1), (2, 2), (2, 3))
+
+    def _same(self, alpha, bound):
+        for step, start in self.FAMILIES:
+            got = _float_scan(alpha, bound, step, start)
+            want = _loop_float_scan(alpha, bound, step, start)
+            # the verdict JSON is built from these: equal bytes, not just
+            # equal values
+            assert json.dumps(got) == json.dumps(want)
+
+    def test_random_alphas(self):
+        rng = np.random.default_rng(7)
+        for alpha in rng.uniform(-1.0, 1.0, 40):
+            self._same(float(alpha), 3000)
+
+    def test_ties_and_rationals(self):
+        # exact rationals put q|alpha| on even integers, where both odd
+        # neighbours tie and the smaller p must win
+        for alpha in (0.0, 0.5, -0.5, 1.0, -1.0, 0.25, 0.2, 1 / 3, 2 / 3,
+                      0.75, 3 / 7, -5 / 8):
+            self._same(alpha, 3000)
+
+    def test_full_bound(self):
+        self._same(math.sqrt(2) - 1, 100_000)
+        self._same(-0.3183098861837907, 100_000)
+
+    def test_empty_family(self):
+        assert _float_scan(0.3, 1, 2, 2) == (math.inf, None, [])
+        assert _loop_float_scan(0.3, 1, 2, 2) == (math.inf, None, [])
 
 
 class TestLogComplex:
