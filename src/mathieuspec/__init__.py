@@ -17,14 +17,12 @@ from .potential import (AsymptoticConstants, DiophantineVerdict, LogComplex,
                         format_complex, parse_complex, parse_rational,
                         periodic_pair, snap_rational)
 from .floquet import (BlochCurveSet, BlochFunction, BandSolver, EigenSolution,
-                      TruncatedOperator, adjoint_solution, assemble,
-                      bloch_function, default_grid, eig, free_lambda,
-                      track_curves, two_periodic_pair)
+                      TruncatedOperator, assemble, bloch_function,
+                      default_grid, eig, free_lambda, track_curves)
 from .discriminant import (CriticalPoint, EigenRoot, FundamentalData,
                            count_roots, discriminant, discriminant_derivative,
-                           discriminant_second, dn_via_wronskian,
-                           eigenvalues_at, find_critical_points,
-                           fundamental_solutions)
+                           dn_via_wronskian, eigenvalues_at,
+                           find_critical_points, fundamental_solutions)
 from .asymptotic import (DTerm, PredictedDegeneracy, SeriesValue, A_series,
                          D_of, a_series_term, asymptotic_lambda,
                          b_series_leading, b_series_term, predict_double)

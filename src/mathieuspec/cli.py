@@ -28,8 +28,8 @@ from . import floquet as flq
 from . import spectrality as spc
 from .errors import MathieuSpecError, ValidationError
 from .potential import (MathieuPotential, alpha_of, check_diophantine,
-                        format_complex, parse_complex, parse_rational,
-                        periodic_pair, snap_rational)
+                        T_VALID, format_complex, parse_complex,
+                        parse_rational, periodic_pair, snap_rational)
 
 SCHEMA_VERSION = 1
 COMMANDS = ("spectrum", "profile", "classify", "singularities", "expand",
@@ -63,7 +63,7 @@ class JobConfig:
             lo, hi = self.window
             if not (lo < hi):
                 raise ValidationError("window must satisfy lo < hi")
-        if not (0.0 < self.h < 1.0 / (15.0 * math.pi)):
+        if not (0.0 < self.h < T_VALID):
             raise ValidationError("h must sit in (0, 1/(15 pi))")
 
     @property
@@ -341,7 +341,7 @@ def _cmd_verify(cfg: JobConfig, out: Path) -> dict:
             check("diophantine-brute-force", agree,
                   f"verdict={verdict.condition8} brute={brute_fail}")
 
-    solver = spc.make_solver(pot, 3, max(cfg.t_points, 64))
+    solver = spc.make_solver(pot, 3, cfg.t_points)
     t_s = 0.83
     got_p = spc._dn_eigenvector(solver, 2, t_s)
     # the solver reflects -t from t; solve -t directly to test the operator

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -107,7 +108,9 @@ def _integrate(pot: MathieuPotential, lam: complex, dense: bool):
     return sol
 
 
-_cache: dict = {}
+#: Least-recently-used results of ``fundamental_solutions``, at most
+#: _CACHE_CAP of them: a hit refreshes its entry, a fill evicts the oldest.
+_cache: "OrderedDict[tuple, FundamentalData]" = OrderedDict()
 _CACHE_CAP = 512
 
 
@@ -122,13 +125,13 @@ def fundamental_solutions(pot: MathieuPotential, lam: complex,
     if abs(lam) > 1e8:
         raise ValidationError("lambda outside the integrator validity envelope")
     key = (pot.a, pot.b, lam, dense)
-    hit = _cache.get(key)
-    if hit is not None:
-        return hit
-    if not dense:
-        slim = _cache.get((pot.a, pot.b, lam, True))
-        if slim is not None:
-            return slim
+    # a dense result also serves a slim request
+    keys = [key] if dense else [key, (pot.a, pot.b, lam, True)]
+    for k in keys:
+        hit = _cache.get(k)
+        if hit is not None:
+            _cache.move_to_end(k)
+            return hit
     sol = _integrate(pot, lam, dense)
     y = sol.y[:, -1]
     defect = abs(y[0] * y[3] - y[1] * y[2] - 1.0)
@@ -141,9 +144,9 @@ def fundamental_solutions(pot: MathieuPotential, lam: complex,
         theta1_l=y[4], dtheta1_l=y[5], phi1_l=y[6], dphi1_l=y[7],
         theta1_ll=y[8], dtheta1_ll=y[9], phi1_ll=y[10], dphi1_ll=y[11],
         dense=sol.sol if dense else None)
-    if len(_cache) > _CACHE_CAP:
-        _cache.clear()
     _cache[key] = fd
+    if len(_cache) > _CACHE_CAP:
+        _cache.popitem(last=False)
     return fd
 
 
@@ -154,10 +157,6 @@ def discriminant(pot: MathieuPotential, lam: complex) -> complex:
 
 def discriminant_derivative(pot: MathieuPotential, lam: complex) -> complex:
     return fundamental_solutions(pot, lam).f_prime
-
-
-def discriminant_second(pot: MathieuPotential, lam: complex) -> complex:
-    return fundamental_solutions(pot, lam).f_second
 
 
 # --------------------------------------------------------------------------
@@ -274,23 +273,29 @@ class CriticalPoint:
         }
 
 
-def _phase_winding(pot, corners, n_side: int = 24, depth: int = 12) -> int:
-    """Winding number of F' around the closed polygon through corners.
+#: Initial samples per contour side, and the refinement depth that sizes
+#: the bisection budget of ``_phase_winding``.
+_SIDE_POINTS = 24
+_PHASE_DEPTH = 12
 
-    Tracks the argument of F' with adaptive bisection until consecutive
+
+def _phase_winding(f, corners) -> int:
+    """Winding number of f around the closed polygon through corners.
+
+    Tracks the argument of f with adaptive bisection until consecutive
     phase increments stay below pi/2; raises ContourError when a sample
     lands on (numerically) zero.
     """
     pts: List[complex] = []
     for i in range(len(corners)):
         z0, z1 = corners[i], corners[(i + 1) % len(corners)]
-        for j in range(n_side):
-            pts.append(z0 + (z1 - z0) * j / n_side)
-    vals = [discriminant_derivative(pot, z) for z in pts]
+        for j in range(_SIDE_POINTS):
+            pts.append(z0 + (z1 - z0) * j / _SIDE_POINTS)
+    vals = [f(z) for z in pts]
     total = 0.0
     i = 0
     n = len(pts)
-    guard = 40 * n * depth
+    guard = 40 * n * _PHASE_DEPTH
     while i < n and guard > 0:
         guard -= 1
         z0, z1 = pts[i], pts[(i + 1) % n]
@@ -301,7 +306,7 @@ def _phase_winding(pot, corners, n_side: int = 24, depth: int = 12) -> int:
         if abs(dphi) > 0.5 * math.pi and abs(z1 - z0) > 1e-13 * (1 + abs(z0)):
             zm = 0.5 * (z0 + z1)
             pts.insert(i + 1, zm)
-            vals.insert(i + 1, discriminant_derivative(pot, zm))
+            vals.insert(i + 1, f(zm))
             n += 1
             continue
         total += dphi
@@ -321,25 +326,32 @@ def _rect_corners(lo, hi, im_lo, im_hi):
 
 def _count_with_retry(pot, lo, hi, im_lo, im_hi, retries: int = 4) -> int:
     pad = 0.0
+
+    def f_prime(z):
+        return discriminant_derivative(pot, z)
+
     for attempt in range(retries):
         try:
-            return _phase_winding(
-                pot, _rect_corners(lo - pad, hi + pad, im_lo - pad, im_hi + pad))
+            return _phase_winding(f_prime, _rect_corners(
+                lo - pad, hi + pad, im_lo - pad, im_hi + pad))
         except ContourError:
             pad += 0.037 * (hi - lo + 1.0) * (attempt + 1)
     raise ContourError(
         f"window [{lo}, {hi}] kept passing through roots of F'")
 
 
+#: Side below which a box holding several roots of F' is polished as is.
+_MIN_BOX = 1e-3
+
+
 def find_critical_points(pot: MathieuPotential, window: Tuple[float, float],
-                         im_halfwidth: float = 6.0,
-                         min_box: float = 1e-3) -> List[CriticalPoint]:
+                         im_halfwidth: float = 6.0) -> List[CriticalPoint]:
     """All roots of F' in window x [-im_halfwidth, im_halfwidth].
 
-    Counts roots by the argument principle on subdivided rectangles, then
-    Newton-polishes each isolated root using F''.  The principal arccos
-    branch fixes t*; conjugate pairs t* <-> -t* are collapsed by keeping
-    Re t* in [0, pi].
+    Counts roots by the argument principle on subdivided rectangles (down
+    to _MIN_BOX a side), then Newton-polishes each isolated root using
+    F''.  The principal arccos branch fixes t*; conjugate pairs
+    t* <-> -t* are collapsed by keeping Re t* in [0, pi].
     """
     lo, hi = float(window[0]), float(window[1])
     boxes = [(lo, hi, -im_halfwidth, im_halfwidth)]
@@ -355,7 +367,7 @@ def find_critical_points(pot: MathieuPotential, window: Tuple[float, float],
         cnt = _count_with_retry(pot, a0, a1, b0, b1)
         if cnt == 0:
             continue
-        small = a1 - a0 <= min_box and b1 - b0 <= min_box
+        small = a1 - a0 <= _MIN_BOX and b1 - b0 <= _MIN_BOX
         if cnt == 1 or small:
             seeds = [complex(0.5 * (a0 + a1), 0.5 * (b0 + b1))]
             if cnt > 1:
@@ -438,34 +450,10 @@ def count_roots(pot: MathieuPotential, window: Tuple[float, float],
     """Argument-principle root count of F - 2 cos t (or of F' when t is None)."""
     corners = _rect_corners(window[0], window[1], -im_halfwidth, im_halfwidth)
     if t is None:
-        return _phase_winding(pot, corners)
+        return _phase_winding(lambda z: discriminant_derivative(pot, z),
+                              corners)
     target = 2.0 * math.cos(t)
-
-    pts = []
-    for i in range(len(corners)):
-        z0, z1 = corners[i], corners[(i + 1) % len(corners)]
-        pts.extend(z0 + (z1 - z0) * j / 24 for j in range(24))
-    vals = [discriminant(pot, z) - target for z in pts]
-    total = 0.0
-    i, n, guard = 0, len(pts), 20000
-    while i < n and guard > 0:
-        guard -= 1
-        z0, z1 = pts[i], pts[(i + 1) % n]
-        v0, v1 = vals[i], vals[(i + 1) % n]
-        if abs(v0) < 1e-13 * (1.0 + abs(v1)):
-            raise ContourError(f"contour passes through a root near {z0!r}")
-        dphi = cmath.phase(v1 / v0)
-        if abs(dphi) > 0.5 * math.pi and abs(z1 - z0) > 1e-13 * (1 + abs(z0)):
-            zm = 0.5 * (z0 + z1)
-            pts.insert(i + 1, zm)
-            vals.insert(i + 1, discriminant(pot, zm) - target)
-            n += 1
-            continue
-        total += dphi
-        i += 1
-    if guard <= 0:
-        raise ContourError("phase tracking exhausted its refinement budget")
-    return int(round(total / TWO_PI))
+    return _phase_winding(lambda z: discriminant(pot, z) - target, corners)
 
 
 # --------------------------------------------------------------------------
@@ -475,8 +463,13 @@ def count_roots(pot: MathieuPotential, window: Tuple[float, float],
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
 
-def _norm_sq_grid(n_panels: int = 512):
-    edges = np.linspace(0.0, 1.0, n_panels + 1)
+#: Composite 4-point Gauss panels on [0, 1] for the norms in
+#: ``dn_via_wronskian``.
+_NORM_PANELS = 512
+
+
+def _norm_sq_grid():
+    edges = np.linspace(0.0, 1.0, _NORM_PANELS + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     xs = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
@@ -488,7 +481,7 @@ _NORM_XS, _NORM_WS = _norm_sq_grid()
 
 
 def dn_via_wronskian(pot: MathieuPotential, n: int, t: float,
-                     lambda_n: complex, n_panels: int = 512) -> float:
+                     lambda_n: complex) -> float:
     """|d_n(t)| from boundary data, independent of the matrix engine.
 
     Uses -1/d = ||Phi_t|| * ||Phi_-t|| / (phi(1) F'(lambda)) with
@@ -527,11 +520,7 @@ def dn_via_wronskian(pot: MathieuPotential, n: int, t: float,
         raise SimplenessError(
             f"|F'|^2 at the root near {lambda_n!r} is ~{abs(fp_root_sq):.3e}, "
             f"below the resolution floor {noise_sq:.3e}")
-    if n_panels == 512:
-        xs, ws = _NORM_XS, _NORM_WS
-    else:
-        xs, ws = _norm_sq_grid(n_panels)
-    yy = fd.dense(xs)
+    yy = fd.dense(_NORM_XS)
     theta_x, phi_x = yy[0], yy[2]
     eit = cmath.exp(1j * t)
     emt = cmath.exp(-1j * t)
@@ -543,8 +532,8 @@ def dn_via_wronskian(pot: MathieuPotential, n: int, t: float,
         up = fd.dtheta1 * phi_x + (eit - fd.dphi1) * theta_x
         um = fd.dtheta1 * phi_x + (emt - fd.dphi1) * theta_x
         denom = fd.dtheta1 * fp
-    norm_p = math.sqrt(float(np.sum(ws * np.abs(up) ** 2).real))
-    norm_m = math.sqrt(float(np.sum(ws * np.abs(um) ** 2).real))
+    norm_p = math.sqrt(float(np.sum(_NORM_WS * np.abs(up) ** 2).real))
+    norm_m = math.sqrt(float(np.sum(_NORM_WS * np.abs(um) ** 2).real))
     if norm_p == 0.0 or norm_m == 0.0:
         raise SimplenessError("degenerate pairing function in the closed formula")
     return abs(denom) / (norm_p * norm_m)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -142,7 +142,6 @@ class ExpansionPlan:
     form: str
     n_max: int
     h: float = 0.02
-    S_set: Tuple[int, ...] = ()
     panels_per_half: int = 16
     gl_points: int = 12
     pair_depth: int = 10
@@ -166,23 +165,11 @@ class ExpansionPlan:
 
 
 def make_plan(pot: MathieuPotential, n_max: int, form: Optional[str] = None,
-              h: float = 0.02, singularity_window=None,
-              **knobs) -> ExpansionPlan:
-    """Build a plan; the form (and the grouped-index set) defaults to the
-    classifier's verdict."""
-    s_set: Tuple[int, ...] = ()
-    if form is None or singularity_window is not None:
-        report = spc.classify_operator(pot, singularity_window=singularity_window)
-        if form is None:
-            form = report.expansion_form
-        if report.ess:
-            bands = set()
-            for rec in report.ess:
-                bands.add(rec.band_guess)
-                bands.add(-rec.band_guess if rec.point.family == "periodic"
-                          else -rec.band_guess - 1)
-            s_set = tuple(sorted(b for b in bands if abs(b) <= n_max))
-    return ExpansionPlan(form=form, n_max=n_max, h=h, S_set=s_set, **knobs)
+              h: float = 0.02, **knobs) -> ExpansionPlan:
+    """Build a plan; the form defaults to the classifier's verdict."""
+    if form is None:
+        form = spc.classify_operator(pot).expansion_form
+    return ExpansionPlan(form=form, n_max=n_max, h=h, **knobs)
 
 
 def _gl(npts):

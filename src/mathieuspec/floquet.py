@@ -34,6 +34,15 @@ CLUSTER_RTOL = 1e-7
 #: Relative singular-value cutoff for geometric-multiplicity counting.
 GM_RTOL = 1e-8
 
+#: Grid refinement rounds ``track_curves`` spends on ambiguous matchings.
+REFINE_CAP = 6
+
+#: ``stable_m``'s check: quasimomentum, relative eigenvalue drift, and the
+#: largest truncation tried.
+STABLE_T = 1.0
+STABLE_RTOL = 1e-9
+M_CAP = 512
+
 
 def free_lambda(n: int, t: float) -> float:
     """Unperturbed eigenvalue (2 pi n + |t|)^2 used as labeling reference."""
@@ -95,6 +104,12 @@ class TruncatedOperator:
     def is_hermitian(self) -> bool:
         return bool(np.isrealobj(self.diag)
                     and self.sub == np.conj(self.super))
+
+    def mirrored(self) -> "TruncatedOperator":
+        """H_{-t} on the same window: the diagonal under k -> -k."""
+        return TruncatedOperator(t=-self.t, M=self.M,
+                                 diag=self.diag[::-1].copy(),
+                                 super=self.super, sub=self.sub)
 
 
 def assemble(pot: MathieuPotential, t: float, M: int) -> TruncatedOperator:
@@ -281,20 +296,12 @@ def _reflect(sol: EigenSolution) -> EigenSolution:
     for the same lam: the eigenvalues, their order and the clusters carry
     over, and the two residuals trade places.
     """
-    op = sol.op
-    mirror = TruncatedOperator(t=-op.t, M=op.M, diag=op.diag[::-1].copy(),
-                               super=op.super, sub=op.sub)
-    return EigenSolution(op=mirror, lambdas=sol.lambdas,
+    return EigenSolution(op=sol.op.mirrored(), lambdas=sol.lambdas,
                          vectors=np.conj(sol.left_vectors[::-1]),
                          left_vectors=np.conj(sol.vectors[::-1]),
                          residuals=sol.left_residuals,
                          left_residuals=sol.residuals,
                          clusters=sol.clusters, _source=sol)
-
-
-def adjoint_solution(pot: MathieuPotential, t: float, M: int) -> EigenSolution:
-    """Eigen-decomposition of the adjoint family H_t(conj b, conj a)."""
-    return eig(assemble(pot.adjoint(), t, M))
 
 
 # --------------------------------------------------------------------------
@@ -333,9 +340,6 @@ class BlochFunction:
         freqs = TWO_PI * self.ks + self.t
         return np.exp(1j * np.outer(x, freqs)) @ self.coeffs
 
-    def mirror_index(self) -> int:
-        return -self.n if self.family == "periodic" else -self.n - 1
-
 
 def _extract(n, t, family, ks, coeffs, lam, residual) -> BlochFunction:
     offset = int(ks[0])
@@ -353,87 +357,60 @@ def _extract(n, t, family, ks, coeffs, lam, residual) -> BlochFunction:
                          residual=float(residual))
 
 
-def two_periodic_pair(pot: MathieuPotential, n: int, at_pi: bool,
-                      M: Optional[int] = None):
-    """Resolve the (near-)degenerate eigenpair at t = 0 or t = pi.
+def _parity_pair(op: TruncatedOperator, n: int, lam_ref: complex
+                 ) -> Tuple[BlochFunction, BlochFunction]:
+    """Band n's member of the two-periodic pair of ``op`` at t = 0 or pi.
 
-    The gauge scaling c_k -> (a/b)^{k/2} c_k equalizes the couplings to
-    sqrt(ab), after which the matrix commutes with the reflection k -> -k
+    The gauge c_k -> s^-k c_k, s = sqrt(a/b), equalizes both couplings to
+    g = a/s, after which the matrix commutes with the reflection k -> -k
     (t = 0) or k -> -1-k (t = pi).  The two pair members live in opposite
-    parity blocks and stay perfectly conditioned even when their eigenvalue
-    splitting is far below double precision.  Requires ab != 0.
+    parity blocks and stay perfectly conditioned even when their splitting
+    is far below double precision.  On the basis (e_k +- e_mirror)/sqrt 2,
+    k >= 0, each block is tridiagonal with coupling g: at t = 0 the even
+    block also holds e_0, coupled to k = 1 by sqrt(2) g; at pi the first
+    diagonal entry gets +-g, and the edge row k = M, which has no mirror,
+    is left out.  n >= 0 takes the even block, n < 0 the odd one.
 
-    Returns [(Psi_even, Psi*_even), (Psi_odd, Psi*_odd)].
+    A -pi operator is read as pi.  The vectors live on the operator's own
+    Fourier window, and their residuals are taken against the operator.
+    Requires ab != 0.
     """
-    if pot.ab == 0:
-        raise MultipleEigenvalueError(
-            "two-periodic pair is a Jordan block when ab = 0")
-    if M is None:
-        M = default_m(abs(n) + 2)
-    s = cmath.sqrt(pot.a / pot.b)
-    g = cmath.sqrt(pot.ab)
-    if abs(math.log(abs(s))) * M > 600.0:
+    if op.t < 0:
+        op = op.mirrored()
+    at_pi = op.t != 0.0
+    s = cmath.sqrt(op.super / op.sub)
+    if abs(math.log(abs(s))) * op.M > 600.0:
         raise MultipleEigenvalueError(
             "coupling ratio too extreme for the gauge-symmetrized pair")
+    g = op.super / s
+    sign = 1.0 if n >= 0 else -1.0
+    ks = np.arange(1 if n < 0 and not at_pi else 0,
+                   op.M if at_pi else op.M + 1)
+    diag = op.diag[op.M + ks].astype(complex)
+    off = np.full(len(ks) - 1, g)
     if at_pi:
-        ks = np.arange(-M, M)       # reflection k -> -1-k needs an even count
-        t = math.pi
-        refl = lambda k: -1 - k
-        family = "antiperiodic"
-    else:
-        ks = np.arange(-M, M + 1)
-        t = 0.0
-        refl = lambda k: -k
-        family = "periodic"
-    nk = len(ks)
-    offset = int(ks[0])
-    diag = (TWO_PI * ks + t) ** 2
-    sym = np.diag(diag).astype(complex)
-    sym += np.diag(np.full(nk - 1, g), 1) + np.diag(np.full(nk - 1, g), -1)
-
-    cols_even, cols_odd = [], []
-    seen = set()
-    for k in ks:
-        if k in seen:
-            continue
-        r = refl(k)
-        seen.update((int(k), int(r)))
-        if r == k:
-            e = np.zeros(nk)
-            e[k - offset] = 1.0
-            cols_even.append(e)
-        else:
-            hi, lo = max(k, r), min(k, r)
-            for sign, cols in ((1.0, cols_even), (-1.0, cols_odd)):
-                e = np.zeros(nk)
-                e[hi - offset] = 1.0 / math.sqrt(2.0)
-                e[lo - offset] = sign / math.sqrt(2.0)
-                cols.append(e)
-
-    lam_ref = free_lambda(n, t)
-    scaling = np.exp(-np.log(s) * ks)          # s^{-k}
-    adj_scaling = np.exp(np.log(np.conj(s)) * ks)  # conj(s)^{k}
-    dense = np.diag(diag).astype(complex)
-    dense += np.diag(np.full(nk - 1, pot.a, dtype=complex), 1)
-    dense += np.diag(np.full(nk - 1, pot.b, dtype=complex), -1)
-
-    out = []
-    for cols in (cols_even, cols_odd):
-        basis = np.array(cols).T
-        block = basis.T @ sym @ basis          # complex symmetric block
-        w, vr = sla.eig(block)
-        j = int(np.argmin(np.abs(w - lam_ref)))
-        vfull = basis @ vr[:, j]
-        psi = scaling * vfull
-        psi = psi / np.linalg.norm(psi)
-        psi_adj = adj_scaling * np.conj(vfull)
-        psi_adj = psi_adj / np.linalg.norm(psi_adj)
-        lam = complex(w[j])
-        resid = float(np.linalg.norm(dense @ psi - lam * psi))
-        primal = _extract(n, t, family, ks, psi, lam, resid)
-        partner = _extract(n, t, family, ks, psi_adj, np.conj(lam), resid)
-        out.append((primal, partner))
-    return out
+        diag[0] += sign * g
+    elif n >= 0:
+        off[0] *= math.sqrt(2.0)
+    w, vr = sla.eig(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    j = int(np.argmin(np.abs(w - lam_ref)))
+    v = np.zeros(op.size, dtype=complex)
+    v[op.M + ks] = vr[:, j] / math.sqrt(2.0)
+    v[op.M + (-1 - ks if at_pi else -ks)] = sign * vr[:, j] / math.sqrt(2.0)
+    if not at_pi and n >= 0:
+        v[op.M] = vr[0, j]                 # e_0 is its own mirror
+    scaling = np.exp(-np.log(s) * op.ks)   # s^-k
+    psi = scaling * v
+    psi /= np.linalg.norm(psi)
+    psi_adj = np.conj(v / scaling)         # conj(s)^k conj(v)
+    psi_adj /= np.linalg.norm(psi_adj)
+    lam = complex(w[j])
+    res = np.linalg.norm(op.apply(psi[:, None])[:, 0] - lam * psi)
+    lres = np.linalg.norm(op.apply(psi_adj[:, None], adjoint=True)[:, 0]
+                          - np.conj(lam) * psi_adj)
+    family = "antiperiodic" if at_pi else "periodic"
+    return (_extract(n, op.t, family, op.ks, psi, lam, res),
+            _extract(n, op.t, family, op.ks, psi_adj, np.conj(lam), lres))
 
 
 def bloch_function(pot: MathieuPotential, t: float, n: int,
@@ -444,9 +421,13 @@ def bloch_function(pot: MathieuPotential, t: float, n: int,
     """Normalized eigenfunction of band n at quasimomentum t, with partner.
 
     The partner is the adjoint eigenfunction for the conjugate eigenvalue.
-    Raises MultipleEigenvalueError when the targeted eigenvalue sits in a
-    deficient or unresolvable cluster; at exactly t = 0 or |t| = pi the
-    gauge-symmetrized parity path resolves the two-periodic pair instead.
+    This is the one place that resolves a labelled band: a simple
+    eigenvalue is read off the solution; a clustered, non-deficient one at
+    exactly t = 0 or |t| = pi (ab != 0) is the two-periodic pair, resolved
+    by its parity blocks, and then the family is fixed by the endpoint
+    (periodic at 0, antiperiodic at +-pi), not by ``family``.  Raises
+    MultipleEigenvalueError for a deficient or otherwise unresolvable
+    cluster.
     """
     if family not in ("periodic", "antiperiodic"):
         raise ValidationError(f"unknown family {family!r}")
@@ -460,11 +441,8 @@ def bloch_function(pot: MathieuPotential, t: float, n: int,
         if sol.is_deficient(i):
             raise MultipleEigenvalueError(
                 f"eigenvalue near {lambda_ref:.6g} at t={t!r} is deficient")
-        two_periodic = (t == 0.0 or abs(t) == math.pi) and not pot.is_free
-        if two_periodic and pot.ab != 0:
-            # parity blocks resolve the pair; hand even to the n >= 0 label
-            pair = two_periodic_pair(pot, n, at_pi=abs(t) == math.pi, M=M)
-            return pair[0] if n >= 0 else pair[1]
+        if (t == 0.0 or abs(t) == math.pi) and pot.ab != 0:
+            return _parity_pair(sol.op, n, lambda_ref)
         raise MultipleEigenvalueError(
             f"eigenvalue near {lambda_ref:.6g} at t={t!r} is clustered "
             "(gap below the deficiency threshold)")
@@ -509,12 +487,6 @@ class BlochCurveSet:
         re = np.interp(tt, self.t_samples, arr.real)
         im = np.interp(tt, self.t_samples, arr.imag)
         return complex(re, im)
-
-    def symmetric_grid(self) -> np.ndarray:
-        """The sample grid mirrored onto (-pi, pi]."""
-        pos = self.t_samples
-        neg = -pos[(pos > 0) & (pos < math.pi)][::-1]
-        return np.concatenate([neg, pos])
 
     def rows(self):
         """(n, t, lambda, residual) over the mirrored grid, for export."""
@@ -570,14 +542,13 @@ def _assign(pred: np.ndarray, lams: np.ndarray, scale: float):
 
 def track_curves(pot: MathieuPotential, t_grid: Optional[np.ndarray] = None,
                  n_range=None, M: Optional[int] = None,
-                 keep_solutions: bool = False,
-                 refine_cap: int = 6) -> BlochCurveSet:
+                 keep_solutions: bool = False) -> BlochCurveSet:
     """Track continuously numbered eigenvalue curves over [0, pi].
 
     Labels are anchored at t = pi/2 by nearest-unperturbed matching
     (lambda_n ~ (2 pi n + pi/2)^2) and continued stepwise by minimal-sum
     assignment with linear extrapolation.  The grid refines itself where a
-    matching is ambiguous, up to ``refine_cap`` rounds; leftover
+    matching is ambiguous, up to ``REFINE_CAP`` rounds; leftover
     ambiguities are reported on the result rather than raised.
     """
     if n_range is None:
@@ -602,7 +573,7 @@ def track_curves(pot: MathieuPotential, t_grid: Optional[np.ndarray] = None,
     ambiguities: list = []
     grid = t_grid
 
-    for _round in range(refine_cap + 1):
+    for _round in range(REFINE_CAP + 1):
         grid = t_grid
         anchor_j = int(np.argmin(np.abs(grid - math.pi / 2)))
         sol = solve(grid[anchor_j])
@@ -680,25 +651,26 @@ def _c2l(z: complex) -> list:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def stable_m(pot: MathieuPotential, n_max: int, t_check: float = 1.0,
-             rtol: float = 1e-9, m_cap: int = 512) -> int:
+def stable_m(pot: MathieuPotential, n_max: int) -> int:
     """Smallest M (from the heuristic) passing the truncation check.
 
-    Eigenvalues in the window |lambda| <= (2 pi n_max)^2 must move by less
-    than rtol*(1+|lambda|) when M grows by 10; M doubles until they do.
+    At t = STABLE_T, eigenvalues in the window |lambda| <= (2 pi n_max)^2
+    must move by less than STABLE_RTOL*(1+|lambda|) when M grows by 10; M
+    doubles until they do, up to M_CAP.
     """
     M = default_m(n_max)
     window = (TWO_PI * n_max) ** 2 + 1.0
     while True:
-        w1 = np.asarray(sla.eigvals(assemble(pot, t_check, M).to_dense()))
-        w2 = np.asarray(sla.eigvals(assemble(pot, t_check, M + 10).to_dense()))
+        w1 = np.asarray(sla.eigvals(assemble(pot, STABLE_T, M).to_dense()))
+        w2 = np.asarray(sla.eigvals(
+            assemble(pot, STABLE_T, M + 10).to_dense()))
         sel = np.abs(w1) <= window
         drift = np.array([np.min(np.abs(w2 - lam)) for lam in w1[sel]])
-        if np.all(drift <= rtol * (1.0 + np.abs(w1[sel]))):
+        if np.all(drift <= STABLE_RTOL * (1.0 + np.abs(w1[sel]))):
             return M
-        if M >= m_cap:
+        if M >= M_CAP:
             raise TrackingAmbiguityError(
-                f"truncation did not stabilize below M={m_cap}")
+                f"truncation did not stabilize below M={M_CAP}")
         M *= 2
 
 
@@ -735,10 +707,6 @@ class BandSolver:
         if t not in self._cache:
             self._cache[t] = eig(assemble(self.pot, t, self.M))
         return self._cache[t]
-
-    def band_index(self, t: float, n: int) -> int:
-        sol = self.solution(t)
-        return sol.nearest(self.curves.value(n, t))
 
     def band(self, t: float, n: int):
         """(lambda, right vector, left vector, flags) for band n at t.

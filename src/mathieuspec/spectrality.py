@@ -74,37 +74,17 @@ def _dn_eigenvector(solver: flq.BandSolver, n: int, t: float):
 
     diag carries the two-term truncation gap |<c,c*> - (u u* + v v*)|.
     """
-    pot = solver.pot
-    if (t == 0.0 or abs(t) == math.pi):
-        sol = solver.solution(t)
-        i = sol.nearest(solver.curves.value(n, t))
-        if sol.is_clustered(i):
-            if sol.is_deficient(i) or pot.ab == 0:
-                return None
-            try:
-                pair = flq.two_periodic_pair(pot, n, at_pi=abs(t) == math.pi,
-                                             M=solver.M)
-            except MultipleEigenvalueError:
-                return None
-            primal, partner = pair[0] if n >= 0 else pair[1]
-            d = np.vdot(partner.coeffs, primal.coeffs)
-            uu = (primal.u * np.conj(partner.u)
-                  + primal.v * np.conj(partner.v))
-            return abs(d), primal.lam, abs(d - uu)
-    lam, v, w, status = solver.band(t, n)
-    if status != "simple":
+    family = "periodic" if abs(t) <= math.pi / 2 else "antiperiodic"
+    try:
+        primal, partner = flq.bloch_function(
+            solver.pot, t, n, family, M=solver.M,
+            lambda_ref=solver.curves.value(n, t),
+            solution=solver.solution(t))
+    except MultipleEigenvalueError:
         return None
-    d = np.vdot(w, v)
-    ks = solver.ks
-    iu = n + solver.M
-    mirror = -n if abs(t) <= math.pi / 2 else -n - 1
-    iv = mirror + solver.M
-    uu = 0.0j
-    if 0 <= iu < len(ks):
-        uu += v[iu] * np.conj(w[iu])
-    if 0 <= iv < len(ks):
-        uu += v[iv] * np.conj(w[iv])
-    return abs(d), lam, abs(d - uu)
+    d = np.vdot(partner.coeffs, primal.coeffs)
+    uu = primal.u * np.conj(partner.u) + primal.v * np.conj(partner.v)
+    return abs(d), primal.lam, abs(d - uu)
 
 
 def dn_profile(pot: MathieuPotential, n: int, t_grid,
@@ -149,6 +129,10 @@ def dn_profile(pot: MathieuPotential, n: int, t_grid,
 # --------------------------------------------------------------------------
 
 _GLX, _GLW = np.polynomial.legendre.leggauss(8)
+
+#: Dyadic refinement depth of ``integral_inverse_dn``'s panels toward an
+#: excluded point; the settle check reruns at _DEPTH + 2.
+_DEPTH = 14
 
 
 def _panel_edges(lo: float, hi: float, refine_lo: bool, refine_hi: bool,
@@ -197,8 +181,8 @@ class InverseIntegral:
 def integral_inverse_dn(pot: MathieuPotential, n: int,
                         interval: Tuple[float, float],
                         epsilon_floor: float = 1e-6,
-                        solver: Optional[flq.BandSolver] = None,
-                        depth: int = 14) -> InverseIntegral:
+                        solver: Optional[flq.BandSolver] = None
+                        ) -> InverseIntegral:
     """Adaptive quadrature of |d_n(t)|^-1 excluding trouble neighborhoods.
 
     Excluded points (simpleness failures) are located by a coarse scan;
@@ -237,7 +221,7 @@ def integral_inverse_dn(pot: MathieuPotential, n: int,
         eps = 10.0 ** -k
         for _attempt in range(4):
             segments = _exclude(lo, hi, excluded, eps)
-            val, bad = _integrate_segments(inv_d, segments, depth)
+            val, bad = _integrate_segments(inv_d, segments, _DEPTH)
             if not bad:
                 break
             # the coarse scan missed a trouble spot; exclude it and retry
@@ -245,10 +229,10 @@ def integral_inverse_dn(pot: MathieuPotential, n: int,
         else:
             raise QuadratureError("exclusion scan kept finding new "
                                   "non-simple points", trace=excluded)
-        check, bad = _integrate_segments(inv_d, segments, depth + 2)
+        check, bad = _integrate_segments(inv_d, segments, _DEPTH + 2)
         if bad or abs(check - val) > 0.05 * (abs(check) + 1e-12):
             raise QuadratureError("quadrature did not settle",
-                                  trace=[(depth, val), (depth + 2, check)])
+                                  trace=[(_DEPTH, val), (_DEPTH + 2, check)])
         seq.append((eps, check))
     growth_ok = len(seq) >= 2 and all(
         b >= 1.25 * a for (_, a), (_, b) in zip(seq[:-1], seq[1:]))

@@ -1,5 +1,8 @@
 import cmath
+import importlib
 import math
+import types
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -9,6 +12,9 @@ from mathieuspec import (MathieuPotential, SimplenessError, assemble,
                          dn_via_wronskian, eig, eigenvalues_at,
                          find_critical_points, fundamental_solutions,
                          predict_double)
+
+# the package exports the function ``discriminant`` under the module's name
+disc = importlib.import_module("mathieuspec.discriminant")
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
@@ -47,6 +53,54 @@ class TestFundamentalSolutions:
         from mathieuspec import ValidationError
         with pytest.raises(ValidationError):
             fundamental_solutions(FREE, 1e9)
+
+
+class TestCache:
+    @pytest.fixture
+    def integrations(self, monkeypatch):
+        """An empty cache and a stand-in integrator that records each lam."""
+        calls = []
+
+        def fake(pot, lam, dense):
+            calls.append(lam)
+            y = np.zeros((12, 1), dtype=complex)
+            y[0] = y[3] = 1.0
+            return types.SimpleNamespace(y=y, sol=None)
+
+        monkeypatch.setattr(disc, "_cache", OrderedDict())
+        monkeypatch.setattr(disc, "_integrate", fake)
+        return calls
+
+    def test_latest_entries_stay(self, integrations):
+        pot = MathieuPotential(0.3, 0.7)
+        lams = [complex(k) for k in range(600)]
+        for lam in lams:
+            fundamental_solutions(pot, lam)
+        assert len(integrations) == 600
+        assert len(disc._cache) == disc._CACHE_CAP == 512
+        for lam in lams[-512:]:
+            fundamental_solutions(pot, lam)
+        assert len(integrations) == 600
+        fundamental_solutions(pot, lams[0])
+        assert integrations[-1] == lams[0]
+
+    def test_hit_refreshes_entry(self, integrations):
+        pot = MathieuPotential(0.3, 0.7)
+        for k in range(512):
+            fundamental_solutions(pot, complex(k))
+        fundamental_solutions(pot, 0j)        # hit: now the newest entry
+        fundamental_solutions(pot, 512j)      # evicts the oldest, 1
+        assert len(integrations) == 513
+        fundamental_solutions(pot, 0j)
+        assert len(integrations) == 513
+        fundamental_solutions(pot, 1 + 0j)
+        assert len(integrations) == 514
+
+    def test_dense_entry_serves_slim_request(self, integrations):
+        pot = MathieuPotential(0.3, 0.7)
+        dense = fundamental_solutions(pot, 5.0, dense=True)
+        assert fundamental_solutions(pot, 5.0) is dense
+        assert len(integrations) == 1
 
 
 class TestDiscriminantDerivative:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 import scipy.linalg as sla
 
 from mathieuspec import (MathieuPotential, MultipleEigenvalueError,
-                         ValidationError, adjoint_solution, assemble,
-                         bloch_function, default_grid, discriminant, eig,
-                         make_solver, track_curves, two_periodic_pair)
+                         ValidationError, assemble, bloch_function,
+                         default_grid, discriminant, dn_profile, eig,
+                         free_lambda, make_solver, track_curves)
 from mathieuspec import floquet as flq
 from mathieuspec.floquet import (CLUSTER_RTOL, GM_RTOL, _cluster_indices,
-                                 _reflect, stable_m)
+                                 _extract, _parity_pair, _reflect, default_m,
+                                 stable_m)
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
@@ -364,13 +366,13 @@ class TestAdjoint:
     def test_conjugate_eigenvalues(self):
         pot = MathieuPotential(1, 2)
         s1 = eig(assemble(pot, 0.6, 16))
-        s2 = adjoint_solution(pot, 0.6, 16)
+        s2 = eig(assemble(pot.adjoint(), 0.6, 16))
         for lam in s1.lambdas:
             assert np.min(np.abs(s2.lambdas - np.conj(lam))) <= 1e-9 * (
                 1 + abs(lam))
 
     def test_gasymov_adjoint_triangular(self):
-        s2 = adjoint_solution(MathieuPotential(0, 1), 0.0, 16)
+        s2 = eig(assemble(MathieuPotential(0, 1).adjoint(), 0.0, 16))
         lam = (TWO_PI * 2) ** 2
         idx = np.argsort(np.abs(s2.lambdas - lam))[:2]
         assert np.all(np.abs(s2.lambdas[idx] - lam) <= 1e-9 * (1 + lam))
@@ -501,6 +503,13 @@ class TestBlochFunction:
         assert vals[1] == pytest.approx(vals[0] * np.exp(1j * 0.7), rel=1e-10)
 
 
+def _assert_clustered(pot, t, n, M=None):
+    """The band is clustered at t, so bloch_function takes the parity route."""
+    M = default_m(abs(n) + 2) if M is None else M
+    sol = eig(assemble(pot, t, M))
+    assert sol.is_clustered(sol.nearest(free_lambda(n, t)))
+
+
 class TestTwoPeriodicPair:
     def test_agrees_with_plain_path_when_resolvable(self):
         # at n = 2 the splitting is still above double precision, so the
@@ -511,24 +520,180 @@ class TestTwoPeriodicPair:
         idx = np.argsort(np.abs(sol.lambdas - lam))[:2]
         d_plain = sorted(abs(np.vdot(sol.left_vectors[:, i],
                                      sol.vectors[:, i])) for i in idx)
-        pair = two_periodic_pair(pot, 2, at_pi=False, M=24)
+        for n in (2, -2):
+            _assert_clustered(pot, 0.0, n, M=24)
+        pair = [bloch_function(pot, 0.0, n, M=24) for n in (2, -2)]
         d_parity = sorted(
             abs(np.vdot(partner.coeffs, primal.coeffs))
             for (primal, partner) in pair)
         assert d_parity == pytest.approx(d_plain, rel=1e-6)
 
     def test_residual_certified(self):
-        for (primal, _) in two_periodic_pair(MathieuPotential(1, 2), 5,
-                                             at_pi=False):
+        pot = MathieuPotential(1, 2)
+        for n in (5, -5):
+            _assert_clustered(pot, 0.0, n)
+            primal, partner = bloch_function(pot, 0.0, n)
             assert primal.residual <= 1e-7 * (1 + abs(primal.lam))
+            assert partner.residual <= 1e-7 * (1 + abs(primal.lam))
 
     def test_antiperiodic_indexing(self):
-        pair = two_periodic_pair(MathieuPotential(1, -1), 1, at_pi=True)
-        for (primal, partner) in pair:
+        # n = 2, not 1: the n = 1 pair of (1, -1) at pi splits by 3e-4,
+        # too wide to cluster, so it takes the plain path
+        pot = MathieuPotential(1, -1)
+        for n in (2, -3):
+            _assert_clustered(pot, PI, n)
+            primal, partner = bloch_function(pot, PI, n)
             assert primal.family == "antiperiodic"
-            assert abs(primal.lam - (TWO_PI + PI) ** 2) <= 0.1
+            assert abs(primal.lam - (2 * TWO_PI + PI) ** 2) <= 0.1
             assert abs(primal.u) ** 2 + abs(primal.v) ** 2 >= 0.9
 
     def test_needs_nonzero_product(self):
+        pot = MathieuPotential(0, 1)
+        _assert_clustered(pot, 0.0, 2)
         with pytest.raises(MultipleEigenvalueError):
-            two_periodic_pair(MathieuPotential(0, 1), 2, at_pi=False)
+            bloch_function(pot, 0.0, 2)
+
+
+def _two_periodic_pair_reference(pot, n, at_pi, M):
+    """The dense parity split the eigen layer used before ``_parity_pair``.
+
+    Builds the gauge-symmetrized matrix and the parity basis densely and
+    projects, basis^T A basis; at pi it truncates to k = -M..M-1 so the
+    reflection k -> -1-k maps the window onto itself.
+    Returns [(primal, partner) even, (primal, partner) odd].
+    """
+    s = cmath.sqrt(pot.a / pot.b)
+    g = cmath.sqrt(pot.ab)
+    if at_pi:
+        ks, t, family = np.arange(-M, M), PI, "antiperiodic"
+    else:
+        ks, t, family = np.arange(-M, M + 1), 0.0, "periodic"
+    nk = len(ks)
+    offset = int(ks[0])
+    diag = (TWO_PI * ks + t) ** 2
+    sym = np.diag(diag).astype(complex)
+    sym += np.diag(np.full(nk - 1, g), 1) + np.diag(np.full(nk - 1, g), -1)
+    cols_even, cols_odd = [], []
+    seen = set()
+    for k in ks:
+        if k in seen:
+            continue
+        r = -1 - k if at_pi else -k
+        seen.update((int(k), int(r)))
+        if r == k:
+            e = np.zeros(nk)
+            e[k - offset] = 1.0
+            cols_even.append(e)
+        else:
+            hi, lo = max(k, r), min(k, r)
+            for sign, cols in ((1.0, cols_even), (-1.0, cols_odd)):
+                e = np.zeros(nk)
+                e[hi - offset] = 1.0 / math.sqrt(2.0)
+                e[lo - offset] = sign / math.sqrt(2.0)
+                cols.append(e)
+    lam_ref = free_lambda(n, t)
+    scaling = np.exp(-np.log(s) * ks)
+    adj_scaling = np.exp(np.log(np.conj(s)) * ks)
+    out = []
+    for cols in (cols_even, cols_odd):
+        basis = np.array(cols).T
+        w, vr = sla.eig(basis.T @ sym @ basis)
+        j = int(np.argmin(np.abs(w - lam_ref)))
+        vfull = basis @ vr[:, j]
+        psi = scaling * vfull
+        psi_adj = adj_scaling * np.conj(vfull)
+        lam = complex(w[j])
+        out.append((_extract(n, t, family, ks, psi / np.linalg.norm(psi),
+                             lam, 0.0),
+                    _extract(n, t, family, ks,
+                             psi_adj / np.linalg.norm(psi_adj),
+                             np.conj(lam), 0.0)))
+    return out
+
+
+PARITY_POTS = [(1, 2), (1, -1), (1, 1), (1 + 0.5j, 1 - 0.5j),
+               (0.5 + 0.2j, 0.3 - 0.6j), (1.5, -1.5), (0.8 + 0.6j, 0.6 - 0.8j)]
+
+
+class TestParityPair:
+    @pytest.mark.parametrize("ab", PARITY_POTS)
+    def test_matches_dense_reference(self, ab):
+        pot = MathieuPotential(*ab)
+        for M in (24, 32):
+            for t in (0.0, PI):
+                op = assemble(pot, t, M)
+                for n in range(-8, 9):
+                    ref = _two_periodic_pair_reference(
+                        pot, n, t == PI, M)[0 if n >= 0 else 1]
+                    got = _parity_pair(op, n, free_lambda(n, t))
+                    assert got[0].lam == pytest.approx(ref[0].lam, rel=1e-12)
+                    d_ref = abs(np.vdot(ref[1].coeffs, ref[0].coeffs))
+                    d_got = abs(np.vdot(got[1].coeffs, got[0].coeffs))
+                    assert d_got == pytest.approx(d_ref, rel=1e-12)
+                    assert np.array_equal(got[0].ks, op.ks)
+                    scale = 1e-9 * max(op.scale, 1.0)
+                    assert got[0].residual <= scale
+                    assert got[1].residual <= scale
+
+    def test_gauge_coupling_sign(self):
+        # for (-1, -1), a/s = -1 while sqrt(ab) = +1: the symmetrized
+        # coupling must be a/s, or the vectors miss the operator by ~2|g|
+        pot = MathieuPotential(-1, -1)
+        for t, ns in ((0.0, (3, -3)), (PI, (2, -3))):
+            op = assemble(pot, t, 24)
+            for n in ns:
+                _assert_clustered(pot, t, n, M=24)
+                for bf in bloch_function(pot, t, n, M=24):
+                    assert bf.residual <= 1e-9 * op.scale
+
+    def test_minus_pi_reads_as_pi(self, solvers):
+        solver = solvers("asym")
+        pot, n = solver.pot, 2
+        sol = solver.solution(PI)
+        assert sol.is_clustered(sol.nearest(solver.curves.value(n, PI)))
+        lam_ref = solver.curves.value(n, PI)
+        at_pi = bloch_function(pot, PI, n, M=solver.M, lambda_ref=lam_ref,
+                               solution=sol)
+        at_minus = bloch_function(pot, -PI, n, M=solver.M,
+                                  lambda_ref=lam_ref,
+                                  solution=solver.solution(-PI))
+        for got, want in zip(at_minus, at_pi):
+            assert got.t == PI and got.family == "antiperiodic"
+            assert got.lam == want.lam
+            assert np.array_equal(got.coeffs, want.coeffs)
+        # no solution handed in: the -pi operator is solved and read as pi
+        fresh = bloch_function(pot, -PI, n, M=solver.M, lambda_ref=lam_ref)
+        assert fresh[0].t == PI
+        assert np.array_equal(fresh[0].coeffs, at_pi[0].coeffs)
+
+    def test_endpoint_fixes_family(self):
+        # the default family is periodic, but the pair at pi is antiperiodic
+        # whatever the caller asks for; at 0 it is periodic
+        pot = MathieuPotential(1, 2)
+        _assert_clustered(pot, PI, 2)
+        for family in ("periodic", "antiperiodic"):
+            primal, _ = bloch_function(pot, PI, 2, family=family)
+            assert primal.family == "antiperiodic"
+            assert primal.u == primal.coeff(2) and primal.v == primal.coeff(-3)
+        primal, _ = bloch_function(pot, PI, 2)
+        assert primal.family == "antiperiodic"
+        _assert_clustered(pot, 0.0, 3)
+        primal, _ = bloch_function(pot, 0.0, 3, family="antiperiodic")
+        assert primal.family == "periodic" and primal.v == primal.coeff(-3)
+
+    def test_profile_resolves_endpoints_through_it(self, solvers,
+                                                   monkeypatch):
+        # nothing in the benchmark reaches the parity route; count it here
+        solver = solvers("asym")
+        calls = []
+        real = flq._parity_pair
+
+        def counting(op, n, lam_ref):
+            calls.append((op.t, n))
+            return real(op, n, lam_ref)
+
+        monkeypatch.setattr(flq, "_parity_pair", counting)
+        prof = dn_profile(solver.pot, 4, [0.0, PI], solver=solver)
+        assert calls == [(0.0, 4), (PI, 4)]
+        assert not prof.excluded
+        assert [t for t, _ in prof.by_method("eigenvector")] == [0.0, PI]
