@@ -293,6 +293,9 @@ def _cmd_verify(cfg: JobConfig, out: Path) -> dict:
     fd = fundamental_solutions(pot, lam_probe)
     check("wronskian-certificate", fd.wronskian_defect <= 1e-10,
           f"defect={fd.wronskian_defect:.3e}")
+    check("ode-error-estimate",
+          fd.est_error <= 1e-10 * (1.0 + abs(lam_probe)),
+          f"est_error={fd.est_error:.3e}")
 
     if pot.is_free:
         curves = flq.track_curves(pot, n_range=range(-2, 3))

@@ -34,7 +34,8 @@ class ContourError(MathieuSpecError):
 
 
 class StepSizeUnderflowError(MathieuSpecError):
-    """The ODE integrator demanded steps below the representable size."""
+    """The ODE oracle could not certify a monodromy: its step cap was not
+    enough, or the solution overflowed or lost its Wronskian to rounding."""
 
 
 class QuadratureError(MathieuSpecError):

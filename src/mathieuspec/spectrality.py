@@ -300,8 +300,6 @@ def detect_singularities(pot: MathieuPotential, window: Tuple[float, float],
     singular: List[CriticalPoint] = []
     ess: List[EssRecord] = []
     n_hint = max(2, int(math.sqrt(max(window[1], 1.0)) / TWO_PI) + 1)
-    if solver is None and run_integrals:
-        solver = make_solver(pot, n_hint)
     endpoint_cache = {}
 
     def endpoint_solution(at_pi: bool):
@@ -349,6 +347,9 @@ def detect_singularities(pot: MathieuPotential, window: Tuple[float, float],
                 t0 = math.pi if at_pi else 0.0
                 band = abs(cp.n_guess)
                 span = (max(t0 - 0.05, 0.0), t0) if at_pi else (0.0, 0.05)
+                # built on the first ESS: most windows have none
+                if solver is None:
+                    solver = make_solver(pot, n_hint)
                 try:
                     result = integral_inverse_dn(pot, band, span,
                                                  solver=solver)

@@ -148,6 +148,8 @@ class TestCommands:
         assert "PASS" in out and "FAIL" not in out
         payload = json.loads((tmp_path / "verify.json").read_text())
         assert payload["all_pass"]
+        names = {c["name"] for c in payload["checks"]}
+        assert {"wronskian-certificate", "ode-error-estimate"} <= names
 
     def test_negative_amplitude_literal(self, tmp_path):
         rc = main(["classify", "--a", "-0.5+0.5i", "--b", "1",

@@ -1,17 +1,22 @@
 import cmath
 import importlib
+import json
 import math
-import types
 from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
-from mathieuspec import (MathieuPotential, SimplenessError, assemble,
-                         count_roots, discriminant, discriminant_derivative,
+from mathieuspec import (MathieuPotential, SimplenessError,
+                         StepSizeUnderflowError, assemble, count_roots,
+                         discriminant, discriminant_derivative,
                          dn_via_wronskian, eig, eigenvalues_at,
                          find_critical_points, fundamental_solutions,
                          predict_double)
+from mathieuspec.cli import main
 
 # the package exports the function ``discriminant`` under the module's name
 disc = importlib.import_module("mathieuspec.discriminant")
@@ -61,11 +66,9 @@ class TestCache:
         """An empty cache and a stand-in integrator that records each lam."""
         calls = []
 
-        def fake(pot, lam, dense):
-            calls.append(lam)
-            y = np.zeros((12, 1), dtype=complex)
-            y[0] = y[3] = 1.0
-            return types.SimpleNamespace(y=y, sol=None)
+        def fake(pot, lams, dense):
+            calls.extend(lams)
+            return [disc.FundamentalData(lam, 1, 0, 0, 1, 0.0) for lam in lams]
 
         monkeypatch.setattr(disc, "_cache", OrderedDict())
         monkeypatch.setattr(disc, "_integrate", fake)
@@ -101,6 +104,138 @@ class TestCache:
         dense = fundamental_solutions(pot, 5.0, dense=True)
         assert fundamental_solutions(pot, 5.0) is dense
         assert len(integrations) == 1
+
+
+def _dop853(pot, lam):
+    """The adaptive integration the Magnus oracle replaced, as reference.
+
+    The fundamental pair and its first two lambda-variations as one
+    12-component system (y_lam'' = (q - lambda) y_lam - y, and
+    y_lamlam'' = (q - lambda) y_lamlam - 2 y_lam), with dense output.
+    """
+    a, b, lamc = pot.a, pot.b, complex(lam)
+
+    def rhs(x, y):
+        w = a * cmath.exp(-2j * PI * x) + b * cmath.exp(2j * PI * x) - lamc
+        return np.array([y[1], w * y[0], y[3], w * y[2],
+                         y[5], w * y[4] - y[0], y[7], w * y[6] - y[2],
+                         y[9], w * y[8] - 2.0 * y[4],
+                         y[11], w * y[10] - 2.0 * y[6]])
+
+    y0 = np.zeros(12, dtype=complex)
+    y0[0] = y0[3] = 1.0
+    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=1e-13,
+                    atol=1e-14, dense_output=True)
+    assert sol.success
+    return sol
+
+
+def _reference_values(sol):
+    y = sol.y[:, -1]
+    return {"theta1": y[0], "dtheta1": y[1], "phi1": y[2], "dphi1": y[3],
+            "f": y[0] + y[3], "f_prime": y[4] + y[7],
+            "f_second": y[8] + y[11]}
+
+
+#: self-adjoint, equal-modulus, unequal-modulus (|a/b| = 2, 1e3, 1e-3,
+#: |ab| up to 10) and one-sided potentials
+ORACLE_POTS = [MathieuPotential(0.5 + 0.5j, 0.5 - 0.5j),
+               MathieuPotential(1.5, -1.5), MathieuPotential(2, 2j),
+               MathieuPotential(1, 2), MathieuPotential(100, 0.1),
+               MathieuPotential(0.1, 100), MathieuPotential(0, 1),
+               MathieuPotential(1, 0)]
+ORACLE_LAMS = [0.5, 7.3, 50.3 + 2j, 258.0 - 6j, 4000.0 - 3j, 1e4]
+
+
+def _disagreements(fd, ref):
+    tol = max(10.0 * fd.est_error, 1e-12 * (1.0 + abs(fd.f)))
+    return {k: abs(getattr(fd, k) - v) for k, v in ref.items()
+            if abs(getattr(fd, k) - v) > tol}
+
+
+class TestMagnusOracle:
+    @pytest.mark.parametrize("pot", ORACLE_POTS)
+    def test_matches_reference(self, pot):
+        for lam in ORACLE_LAMS:
+            fd = fundamental_solutions(pot, lam)
+            ref = _reference_values(_dop853(pot, lam))
+            assert _disagreements(fd, ref) == {}, lam
+            assert fd.wronskian_defect <= 1e-12
+
+    def test_matches_reference_near_1e6(self):
+        pot, lam = MathieuPotential(1, 2), 1e6 + 0.5
+        fd = fundamental_solutions(pot, lam)
+        assert _disagreements(fd, _reference_values(_dop853(pot, lam))) == {}
+
+    @pytest.mark.parametrize("pot", ORACLE_POTS)
+    def test_estimate_bounds_doubled_run(self, pot):
+        # the same Richardson-extrapolated oracle on twice the steps
+        for lam in ORACLE_LAMS:
+            fd = fundamental_solutions(pot, lam)
+            lams = np.array([lam], dtype=complex)
+            fine = disc._monodromy(pot, lams, 2 * fd.steps)
+            y = fine + (fine - disc._monodromy(pot, lams, fd.steps)) / 15.0
+            assert abs(y[0, 0, 0] + y[0, 3, 0] + 2.0 - fd.f) <= fd.est_error
+
+    def test_batch_equals_scalar_bitwise(self, monkeypatch):
+        pot = MathieuPotential(1.5 - 0.2j, 0.7 + 1.1j)
+        lams = [complex(x, y) for x in np.linspace(2.0, 300.0, 7)
+                for y in (-6.0, 0.0, 2.5)]
+        monkeypatch.setattr(disc, "_cache", OrderedDict())
+        batch = disc._fundamental_batch(pot, lams)
+        monkeypatch.setattr(disc, "_cache", OrderedDict())
+        reverse = disc._fundamental_batch(pot, lams[::-1])[::-1]
+        for lam, b, r in zip(lams, batch, reverse):
+            monkeypatch.setattr(disc, "_cache", OrderedDict())
+            assert fundamental_solutions(pot, lam) == b == r
+
+    @pytest.mark.parametrize("pot,lam", [
+        (MathieuPotential(1, 2), 150.0),
+        (MathieuPotential(0.5 + 0.5j, 0.5 - 0.5j), 55.5 + 3j),
+        (MathieuPotential(0, 1), 7.3),
+        (MathieuPotential(100, 0.1), 1e4),
+    ])
+    def test_dense_matches_reference(self, pot, lam):
+        fd = fundamental_solutions(pot, lam, dense=True)
+        yy = _dop853(pot, lam).sol(disc._NORM_XS)
+        for got, want in ((fd.dense[0], yy[0]), (fd.dense[1], yy[2])):
+            assert np.max(np.abs(got - want)) <= 1e-9 * (
+                1.0 + np.max(np.abs(want)))
+
+
+class TestEdgeInputs:
+    @given(st.floats(-3.0, 8.0), st.floats(-PI, PI),
+           st.floats(0.0, 50.0), st.floats(-PI, PI),
+           st.floats(0.0, 50.0), st.floats(-PI, PI))
+    @settings(max_examples=100, deadline=None)
+    def test_certified_or_typed_error(self, log_lam, arg_lam, ma, arg_a,
+                                      mb, arg_b):
+        pot = MathieuPotential(cmath.rect(ma, arg_a), cmath.rect(mb, arg_b))
+        lam = cmath.rect(10.0 ** log_lam, arg_lam)
+        try:
+            fd = fundamental_solutions(pot, lam)
+        except StepSizeUnderflowError:
+            return
+        assert fd.wronskian_defect <= 1e-10
+        assert math.isfinite(fd.est_error)
+        assert disc._N_START <= fd.steps <= disc._N_CAP
+
+    def test_step_cap_is_a_typed_error(self, monkeypatch, tmp_path, capsys):
+        # (50, 50) near lambda = 10 needs more than the first 1,024 steps
+        monkeypatch.setattr(disc, "_cache", OrderedDict())
+        monkeypatch.setattr(disc, "_N_CAP", disc._N_START)
+        with pytest.raises(StepSizeUnderflowError):
+            fundamental_solutions(MathieuPotential(50, 50), 10.0)
+        rc = main(["singularities", "--a=50", "--b=50", "--window=5,15",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "StepSizeUnderflowError"
+
+    def test_lost_wronskian_is_a_typed_error(self):
+        # F ~ cosh(100): rounding swamps det Y = 1
+        with pytest.raises(StepSizeUnderflowError):
+            fundamental_solutions(FREE, -1e4)
 
 
 class TestDiscriminantDerivative:

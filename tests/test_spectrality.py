@@ -7,6 +7,7 @@ import pytest
 from mathieuspec import (DegenerateProductError, MathieuPotential,
                          classify_operator, detect_singularities, dn_profile,
                          integral_inverse_dn, region_decomposition)
+from mathieuspec import spectrality as spc
 from mathieuspec.spectrality import (ASYMPTOTICALLY_ELEGANT, ELEGANT, GASYMOV,
                                      _dn_eigenvector)
 
@@ -152,6 +153,23 @@ class TestDetection:
         for e in ess:
             assert e.geometric_multiplicity == 1
             assert e.cluster_size == 2
+
+    @pytest.mark.parametrize("pot,window,builds", [
+        (MathieuPotential(1, 1), (30.0, 50.0), 0),
+        (MathieuPotential(0, 1), (30.0, 50.0), 1),
+    ])
+    def test_solver_built_only_for_an_ess(self, monkeypatch, pot, window,
+                                          builds):
+        calls = []
+        make_solver = spc.make_solver
+
+        def counting(pot, n_max, t_points=96):
+            calls.append(n_max)
+            return make_solver(pot, n_max, t_points)
+
+        monkeypatch.setattr(spc, "make_solver", counting)
+        _, ess = detect_singularities(pot, window)
+        assert len(ess) == builds == len(calls)
 
     def test_interior_collision_classified(self):
         sing, ess = detect_singularities(MathieuPotential(1, -1),
