@@ -35,6 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._quadrature import composite, gauss_legendre
 from .errors import ContourError, SimplenessError, \
     StepSizeUnderflowError, ValidationError
 from .potential import MathieuPotential
@@ -698,24 +699,10 @@ def count_roots(pot: MathieuPotential, window: Tuple[float, float],
 # Projection norm via the Wronskian-based closed formula
 # --------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
-
-
-#: Composite 4-point Gauss panels on [0, 1] for the norms in
-#: ``dn_via_wronskian``.
-_NORM_PANELS = 512
-
-
-def _norm_sq_grid():
-    edges = np.linspace(0.0, 1.0, _NORM_PANELS + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    xs = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    ws = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return xs, ws
-
-
-_NORM_XS, _NORM_WS = _norm_sq_grid()
+#: Composite 4-point Gauss panels, 512 of them, on [0, 1] for the norms
+#: in ``dn_via_wronskian``.
+_NORM_XS, _NORM_WS = (a.ravel() for a in composite(
+    np.linspace(0.0, 1.0, 513), *gauss_legendre(4)))
 
 
 def dn_via_wronskian(pot: MathieuPotential, n: int, t: float,

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import floquet as flq
 from . import spectrality as spc
+from ._quadrature import composite, gauss_legendre
 from .errors import FormMismatchError, SimplenessError, ValidationError
 from .potential import MathieuPotential, T_VALID
 
@@ -105,19 +106,23 @@ def _bump_profile_transform(nu):
 # --------------------------------------------------------------------------
 
 def coefficient_from_vectors(f: TestFunction, t: float, ks: np.ndarray,
-                             vec: np.ndarray, adj_vec: np.ndarray) -> complex:
+                             vec: np.ndarray, adj_vec: np.ndarray):
     """a_n(t) from explicit coefficient vectors of Psi and Psi*.
 
     a_n(t) = <fhat, c*> / <c, c*> with <x, y> = sum x_k conj(y_k); the
     combination is invariant under independent phase rescalings of either
-    vector, which pins down where the conjugations go.
+    vector, which pins down where the conjugations go.  Given columns of
+    several bands (arrays shaped (len(ks), bands)), it returns one
+    coefficient per column from one transform of f.
     """
     fhat = f.transform(TWO_PI * ks + t)
-    num = complex(np.vdot(adj_vec, fhat))
-    den = complex(np.vdot(adj_vec, vec))
-    if den == 0:
+    adj = np.conj(adj_vec)
+    num = adj.T @ fhat
+    den = np.sum(adj * vec, axis=0)
+    if np.any(den == 0):
         raise SimplenessError("vanishing pairing <Psi, Psi*>")
-    return num / den
+    a = num / den
+    return complex(a) if np.ndim(a) == 0 else a
 
 
 def bloch_coefficient(pot: MathieuPotential, f: TestFunction, n: int, t: float,
@@ -172,35 +177,44 @@ def make_plan(pot: MathieuPotential, n_max: int, form: Optional[str] = None,
     return ExpansionPlan(form=form, n_max=n_max, h=h, **knobs)
 
 
-def _gl(npts):
-    return np.polynomial.legendre.leggauss(npts)
+def _window(edges, rule):
+    """Flat (nodes, weights) of ``rule`` on the panels between ``edges``."""
+    nodes, weights = composite(edges, *rule)
+    return nodes.ravel(), weights.ravel()
 
 
-def _uniform_nodes(lo: float, hi: float, panels: int, gl_pts: int):
-    gx, gw = _gl(gl_pts)
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    weights = (half[:, None] * gw[None, :]).ravel()
-    return nodes, weights
+def _passes(plan: ExpansionPlan):
+    """(nodes, weights, band groups) of every quadrature pass of the plan.
 
-
-def _dyadic_nodes(center: float, h: float, depth: int, gl_pts: int,
-                  side: int):
-    """Nodes on [center, center+h] (side=+1) or [center-h, center]
-    refining geometrically toward the center; the innermost panel closes
-    the tiling, so only the center itself is never sampled."""
-    gx, gw = _gl(gl_pts)
-    offs = h * 0.5 ** np.arange(depth + 1)
-    edges = np.concatenate([[0.0], offs[::-1]])
-    nodes, weights = [], []
-    for e0, e1 in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (e1 - e0)
-        mid = 0.5 * (e0 + e1)
-        nodes.append(center + side * (mid + half * gx))
-        weights.append(half * gw)
-    return np.concatenate(nodes), np.concatenate(weights)
+    Term-by-term over (-pi, pi] for the plain and grouped forms; the
+    endpoint-paired form splits the circle into the two pairing windows
+    around 0 and pi plus the bulk.  Every negative node is the exact
+    negation of a positive one, so the solver reads its eigenpairs off the
+    positive node by reflection.
+    """
+    rule = gauss_legendre(plan.gl_points)
+    singles = [(n,) for n in range(-plan.n_max, plan.n_max + 1)]
+    if plan.form in (spc.ELEGANT, spc.ASYMPTOTICALLY_ELEGANT):
+        nodes, weights = _window(np.linspace(0.0, math.pi,
+                                             plan.panels_per_half + 1), rule)
+        return [(-nodes[::-1], weights[::-1], singles),
+                (nodes, weights, singles)]
+    h = plan.h
+    # offsets from a window's center, refining geometrically toward it;
+    # the innermost panel closes the tiling, so only the center itself is
+    # never sampled
+    offs, offw = _window(np.concatenate(
+        [[0.0], h * 0.5 ** np.arange(plan.pair_depth, -1, -1)]), rule)
+    # around 0: n = 0 alone plus (n, -n) pairs; around pi: (n, -n-1), whose
+    # beyond-pi half lives just above -pi after 2 pi reduction
+    zero = [(0,)] + plan.pairing["zero"]
+    pi_pairs = plan.pairing["pi"]
+    bulk, bulkw = _window(np.linspace(h, math.pi - h,
+                                      plan.panels_per_half + 1), rule)
+    return [(offs, offw, zero), (-offs, offw, zero),
+            (math.pi - offs, offw, pi_pairs),
+            (-(math.pi - offs), offw, pi_pairs),
+            (bulk, bulkw, singles), (-bulk[::-1], bulkw[::-1], singles)]
 
 
 @dataclass
@@ -227,43 +241,41 @@ class ResidualReport:
 
 
 class _Accumulator:
-    def __init__(self, pot, f, solver, x):
-        self.pot = pot
+    def __init__(self, f, solver, x):
         self.f = f
         self.solver = solver
         self.x = np.asarray(x, dtype=float)
         self.total = np.zeros(len(self.x), dtype=complex)
         self.skipped = 0
 
-    def _band_term(self, t, n):
-        lam, v, w, status = self.solver.band(t, n)
-        if status != "simple":
-            return None
-        a = coefficient_from_vectors(self.f, t, self.solver.ks, v, w)
-        freqs = TWO_PI * self.solver.ks + t
-        psi = np.exp(1j * np.outer(self.x, freqs)) @ v
-        return a * psi
+    def add(self, nodes, weights, groups):
+        """Add every group's terms a_n(t) Psi_{n,t}(x) at each node.
 
-    def add_single(self, nodes, weights, bands):
+        A group is one band, or an endpoint pair whose members are summed
+        before the pair is weighted: they are only jointly integrable
+        through a collision.  A group with a non-simple member is skipped.
+        One transform of f and one exp(i x freqs) serve all of a node's
+        bands.
+        """
+        ks = self.solver.ks
+        bands = sorted({n for g in groups for n in g})
         for t, wt in zip(nodes, weights):
+            t = float(t)
+            simple = {}
             for n in bands:
-                term = self._band_term(float(t), n)
-                if term is None:
-                    self.skipped += 1
-                    continue
-                self.total += wt * term
-
-    def add_pairs(self, nodes, weights, pairs):
-        """Pairs are summed per node before weighting: the members are
-        only jointly integrable through a collision."""
-        for t, wt in zip(nodes, weights):
-            for (n1, n2) in pairs:
-                t1 = self._band_term(float(t), n1)
-                t2 = self._band_term(float(t), n2)
-                if t1 is None or t2 is None:
-                    self.skipped += 1
-                    continue
-                self.total += wt * (t1 + t2)
+                _, v, w, status = self.solver.band(t, n)
+                if status == "simple":
+                    simple[n] = (v, w)
+            live = [g for g in groups if all(n in simple for n in g)]
+            self.skipped += len(groups) - len(live)
+            if not live:
+                continue
+            cols = [simple[n] for g in live for n in g]
+            v = np.column_stack([c[0] for c in cols])
+            w = np.column_stack([c[1] for c in cols])
+            a = coefficient_from_vectors(self.f, t, ks, v, w)
+            psi = np.exp(1j * np.outer(self.x, TWO_PI * ks + t)) @ v
+            self.total += wt * (psi @ a)
 
 
 def reconstruct(pot: MathieuPotential, f: TestFunction, plan: ExpansionPlan,
@@ -274,7 +286,7 @@ def reconstruct(pot: MathieuPotential, f: TestFunction, plan: ExpansionPlan,
     Term-by-term over (-pi, pi] for the plain form; the grouped form sums
     the flagged bands inside one integral (identical samples, grouped
     bookkeeping); the endpoint-paired form splits the circle into the two
-    pairing windows around 0 and pi plus the bulk.
+    pairing windows around 0 and pi plus the bulk (``_passes``).
     """
     if not plan.allow_mismatch:
         verdict = spc.expansion_form(pot)
@@ -284,38 +296,9 @@ def reconstruct(pot: MathieuPotential, f: TestFunction, plan: ExpansionPlan,
                 "set allow_mismatch to override")
     if solver is None:
         solver = spc.make_solver(pot, plan.n_max + 1)
-    acc = _Accumulator(pot, f, solver, eval_points)
-    bands = list(range(-plan.n_max, plan.n_max + 1))
-
-    # every negative node is the exact negation of a positive one, so the
-    # solver reads its eigenpairs off the positive node by reflection
-    if plan.form in (spc.ELEGANT, spc.ASYMPTOTICALLY_ELEGANT):
-        nodes, weights = _uniform_nodes(0.0, math.pi, plan.panels_per_half,
-                                        plan.gl_points)
-        acc.add_single(-nodes[::-1], weights[::-1], bands)
-        acc.add_single(nodes, weights, bands)
-    else:
-        h = plan.h
-        # pairing window around 0: n = 0 alone plus (n, -n) pairs
-        for side in (+1, -1):
-            nodes, weights = _dyadic_nodes(0.0, h, plan.pair_depth,
-                                           plan.gl_points, side)
-            acc.add_single(nodes, weights, [0])
-            acc.add_pairs(nodes, weights, plan.pairing["zero"])
-        # pairing window around pi: (n, -n-1); the beyond-pi half lives at
-        # quasimomenta just above -pi after 2 pi reduction
-        pi_pairs = plan.pairing["pi"]
-        nodes, weights = _dyadic_nodes(math.pi, h, plan.pair_depth,
-                                       plan.gl_points, -1)
-        acc.add_pairs(nodes, weights, pi_pairs)
-        nodes, weights = _dyadic_nodes(-math.pi, h, plan.pair_depth,
-                                       plan.gl_points, +1)
-        acc.add_pairs(nodes, weights, pi_pairs)
-        # bulk
-        nodes, weights = _uniform_nodes(h, math.pi - h, plan.panels_per_half,
-                                        plan.gl_points)
-        acc.add_single(nodes, weights, bands)
-        acc.add_single(-nodes[::-1], weights[::-1], bands)
+    acc = _Accumulator(f, solver, eval_points)
+    for nodes, weights, groups in _passes(plan):
+        acc.add(nodes, weights, groups)
 
     rec = acc.total / TWO_PI
     truth = f(acc.x)

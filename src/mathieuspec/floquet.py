@@ -277,13 +277,11 @@ def _cluster_deficient(op: TruncatedOperator, lams: np.ndarray,
     # Jordan chain vector norm explodes
     if (op.super == 0) != (op.sub == 0):
         return True
-    mean = lams[cl].mean()
     if op.is_hermitian:
-        # A - mean I is normal: its singular values are |lams - mean|
-        sv = np.abs(lams - mean)
-    else:
-        sv = np.linalg.svd(op.to_dense() - mean * np.eye(op.size),
-                           compute_uv=False)
+        return False    # a Hermitian matrix is never defective
+    mean = lams[cl].mean()
+    sv = np.linalg.svd(op.to_dense() - mean * np.eye(op.size),
+                       compute_uv=False)
     return int(np.sum(sv < GM_RTOL * max(op.scale, 1.0))) < len(cl)
 
 

@@ -19,6 +19,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from . import floquet as flq
+from ._quadrature import GK15, composite
 from .discriminant import (CriticalPoint, dn_via_wronskian,
                            find_critical_points, fundamental_solutions)
 from .errors import (DegenerateProductError, MultipleEigenvalueError,
@@ -128,54 +129,24 @@ def dn_profile(pot: MathieuPotential, n: int, t_grid,
 # Integrals of |d_n(t)|^-1
 # --------------------------------------------------------------------------
 
-_GLX, _GLW = np.polynomial.legendre.leggauss(8)
-
-#: Dyadic refinement depth of ``integral_inverse_dn``'s panels toward an
-#: excluded point; the settle check reruns at _DEPTH + 2.
-_DEPTH = 14
-
-
-def _panel_edges(lo: float, hi: float, refine_lo: bool, refine_hi: bool,
-                 depth: int) -> np.ndarray:
-    base = np.linspace(lo, hi, 9)
-    edges = [base]
-    w = hi - lo
-    if refine_lo:
-        edges.append(lo + w * 0.5 ** np.arange(4, depth))
-    if refine_hi:
-        edges.append(hi - w * 0.5 ** np.arange(4, depth))
-    return np.unique(np.concatenate(edges))
-
-
-def _integrate_segments(f, segments, depth: int):
-    """(integral, trouble) where trouble lists nodes with non-finite f."""
-    total = 0.0
-    trouble = []
-    for (lo, hi, ref_lo, ref_hi) in segments:
-        if hi <= lo:
-            continue
-        edges = _panel_edges(lo, hi, ref_lo, ref_hi, depth)
-        for e0, e1 in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (e1 - e0)
-            mid = 0.5 * (e0 + e1)
-            xs = mid + half * _GLX
-            vals = np.array([f(x) for x in xs])
-            if not np.all(np.isfinite(vals)):
-                trouble.extend(float(x) for x, v in zip(xs, vals)
-                               if not math.isfinite(v))
-                continue
-            total += half * float(np.sum(_GLW * vals))
-    return total, trouble
+def _clear_of(edges: np.ndarray, excluded: List[float],
+              eps: float) -> np.ndarray:
+    """Mask of the panels at distance >= eps from every excluded point."""
+    pts = np.asarray(excluded, dtype=float)
+    return np.all((edges[1:, None] <= pts - eps)
+                  | (edges[:-1, None] >= pts + eps), axis=1)
 
 
 @dataclass
 class InverseIntegral:
-    """Integral of |d_n|^-1 with the shrinking-exclusion divergence scan."""
+    """Integral of |d_n|^-1 with the shrinking-exclusion divergence scan;
+    ``error`` is the Gauss-Kronrod estimate |K15 - G7| of ``value``."""
 
     value: float
     divergence_flag: bool
     sequence: List[Tuple[float, float]]
     excluded: List[float]
+    error: float
 
 
 def integral_inverse_dn(pot: MathieuPotential, n: int,
@@ -183,12 +154,15 @@ def integral_inverse_dn(pot: MathieuPotential, n: int,
                         epsilon_floor: float = 1e-6,
                         solver: Optional[flq.BandSolver] = None
                         ) -> InverseIntegral:
-    """Adaptive quadrature of |d_n(t)|^-1 excluding trouble neighborhoods.
+    """Graded quadrature of |d_n(t)|^-1 excluding trouble neighborhoods.
 
-    Excluded points (simpleness failures) are located by a coarse scan;
-    the integral is evaluated for the shrinking exclusion radii 10^-2 ..
-    epsilon_floor and flagged divergent when it keeps growing by >= 25%
-    per decade without saturating.
+    Excluded points (simpleness failures) are located by a coarse scan.
+    One pass of Gauss-Kronrod panels graded toward them gives the integral
+    for each exclusion radius 10^-2 .. epsilon_floor as a sum over the
+    panels outside it.  It is flagged divergent when it keeps growing by
+    >= 25% per decade without saturating; a Kronrod-Gauss estimate above
+    5% of a value raises ``QuadratureError`` with (radius, value,
+    estimate) as its trace.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (-math.pi <= lo < hi <= math.pi):
@@ -216,47 +190,51 @@ def integral_inverse_dn(pot: MathieuPotential, n: int,
     ks = [k for k in range(2, 7) if 10.0 ** -k >= epsilon_floor]
     if not ks or 10.0 ** -ks[-1] > epsilon_floor:
         ks.append(-int(round(math.log10(epsilon_floor))))
-    seq = []
-    for k in sorted(set(ks)):
-        eps = 10.0 ** -k
-        for _attempt in range(4):
-            segments = _exclude(lo, hi, excluded, eps)
-            val, bad = _integrate_segments(inv_d, segments, _DEPTH)
-            if not bad:
-                break
-            # the coarse scan missed a trouble spot; exclude it and retry
-            excluded = sorted(set(excluded) | set(bad))
-        else:
-            raise QuadratureError("exclusion scan kept finding new "
-                                  "non-simple points", trace=excluded)
-        check, bad = _integrate_segments(inv_d, segments, _DEPTH + 2)
-        if bad or abs(check - val) > 0.05 * (abs(check) + 1e-12):
-            raise QuadratureError("quadrature did not settle",
-                                  trace=[(_DEPTH, val), (_DEPTH + 2, check)])
-        seq.append((eps, check))
+    ks = sorted(set(ks))
+    epss = [10.0 ** -k for k in ks]
+    # radii four per decade from the smallest exclusion radius up to the
+    # base panel width (and at least the largest): every exclusion radius
+    # is one of them, so each exclusion boundary is a panel edge
+    reach = max(epss[0], (hi - lo) / 8.0)
+    radii = np.array([10.0 ** (q / 4) for q in range(-4 * ks[-1], 1)
+                      if 10.0 ** (q / 4) <= reach])
+    for _attempt in range(4):
+        # eight uniform base panels plus edges p -/+ r toward every
+        # excluded point p; panels inside the smallest radius are not sampled
+        pts = np.asarray(excluded, dtype=float)[:, None]
+        edges = np.concatenate([np.linspace(lo, hi, 9),
+                                (pts - radii).ravel(), (pts + radii).ravel()])
+        edges = np.unique(edges[(edges >= lo) & (edges <= hi)])
+        used = _clear_of(edges, excluded, epss[-1])
+        xs, wk, wg = composite(edges, *GK15)
+        nodes = xs[used].ravel()
+        vals = np.array([inv_d(float(t)) for t in nodes])
+        finite = np.isfinite(vals)
+        if finite.all():
+            break
+        # the coarse scan missed a trouble spot; exclude it and retry
+        excluded = sorted(set(excluded) | set(nodes[~finite].tolist()))
+    else:
+        raise QuadratureError("exclusion scan kept finding new "
+                              "non-simple points", trace=excluded)
+    vals = vals.reshape(-1, len(GK15[0]))
+    kronrod = np.sum(wk[used] * vals, axis=1)
+    estimate = np.abs(kronrod - np.sum(wg[used] * vals, axis=1))
+    trace = []
+    for eps in epss:
+        clear = _clear_of(edges, excluded, eps)[used]
+        trace.append((eps, float(np.sum(kronrod[clear])),
+                      float(np.sum(estimate[clear]))))
+    if any(est > 0.05 * (abs(val) + 1e-12) for (_, val, est) in trace):
+        raise QuadratureError("Gauss-Kronrod estimate exceeds 5% of the "
+                              "integral", trace=trace)
+    seq = [(eps, val) for (eps, val, _) in trace]
     growth_ok = len(seq) >= 2 and all(
         b >= 1.25 * a for (_, a), (_, b) in zip(seq[:-1], seq[1:]))
     diverging = bool(excluded) and growth_ok
     return InverseIntegral(value=seq[-1][1], divergence_flag=diverging,
-                           sequence=seq, excluded=excluded)
-
-
-def _exclude(lo, hi, pts, eps):
-    """Subtract eps-neighborhoods of pts from [lo, hi]; tag refined ends."""
-    segments = []
-    cur = lo
-    cur_ref = False
-    for p in pts:
-        a, b = p - eps, p + eps
-        if b <= lo or a >= hi:
-            continue
-        if a > cur:
-            segments.append((cur, a, cur_ref, True))
-        cur = max(cur, b)
-        cur_ref = True
-    if cur < hi:
-        segments.append((cur, hi, cur_ref, False))
-    return segments
+                           sequence=seq, excluded=excluded,
+                           error=trace[-1][2])
 
 
 # --------------------------------------------------------------------------

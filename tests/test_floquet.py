@@ -104,9 +104,10 @@ class TestEig:
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
     def test_hermitian_deficiency_matches_svd(self):
-        # self-adjoint clusters are flagged from |lambda_i - mean|; the
-        # dense singular values of A - mean I must give the same flags
-        clusters = flagged = 0
+        # a Hermitian matrix is never defective: no self-adjoint cluster is
+        # flagged, and the dense singular values of A - mean I confirm a
+        # full eigenspace within the cluster's own spread
+        clusters = 0
         for pot in (MathieuPotential(0.5, 0.5),
                     MathieuPotential(0.4 + 0.3j, 0.4 - 0.3j),
                     MathieuPotential(1 + 0.5j, 1 - 0.5j),
@@ -116,19 +117,17 @@ class TestEig:
                     op = assemble(pot, t, m)
                     assert op.is_hermitian
                     sol = eig(op)
+                    assert not sol.deficiency_flags.any()
                     a = op.to_dense()
-                    want = np.zeros(len(sol.lambdas), dtype=bool)
                     for cl in sol.clusters:
                         mean = sol.lambdas[cl].mean()
                         sv = np.linalg.svd(a - mean * np.eye(len(a)),
                                            compute_uv=False)
-                        if np.sum(sv < GM_RTOL * max(op.scale, 1.0)) < len(cl):
-                            want[cl] = True
-                    assert np.array_equal(sol.deficiency_flags, want)
+                        spread = np.max(np.abs(sol.lambdas[cl] - mean))
+                        tol = spread + GM_RTOL * max(op.scale, 1.0)
+                        assert np.sum(sv <= tol) >= len(cl)
                     clusters += len(sol.clusters)
-                    flagged += int(want.sum())
-        # both outcomes are exercised: clustered band edges, some flagged
-        assert clusters > 100 and flagged > 0
+        assert clusters > 100
 
     def test_unit_norm(self):
         sol = eig(assemble(MathieuPotential(1 - 0.3j, 0.4), 1.2, 10))
@@ -219,12 +218,10 @@ def _eager_flags(sol):
         if bidiagonal:
             flags[cl] = True
             continue
-        mean = w[cl].mean()
         if op.is_hermitian:
-            sv = np.abs(w - mean)
-        else:
-            sv = np.linalg.svd(dense - mean * np.eye(len(w)),
-                               compute_uv=False)
+            continue
+        mean = w[cl].mean()
+        sv = np.linalg.svd(dense - mean * np.eye(len(w)), compute_uv=False)
         if int(np.sum(sv < GM_RTOL * max(op.scale, 1.0))) < len(cl):
             flags[cl] = True
     return flags

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from mathieuspec import (DegenerateProductError, MathieuPotential,
-                         classify_operator, detect_singularities, dn_profile,
+                         QuadratureError, classify_operator,
+                         detect_singularities, dn_profile,
                          integral_inverse_dn, region_decomposition)
 from mathieuspec import spectrality as spc
 from mathieuspec.spectrality import (ASYMPTOTICALLY_ELEGANT, ELEGANT, GASYMOV,
@@ -123,6 +124,51 @@ class TestInverseIntegrals:
         eps, vals = zip(*res.sequence)
         assert list(eps) == [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
         assert all(b >= a for a, b in zip(vals[:-1], vals[1:]))
+
+    def test_one_pass_evaluates_each_node_once(self, solvers, monkeypatch):
+        solver = solvers("gasymov", n_max=3)
+        ts = []
+        inner = spc._dn_eigenvector
+
+        def counted(solver, n, t):
+            ts.append(t)
+            return inner(solver, n, t)
+
+        monkeypatch.setattr(spc, "_dn_eigenvector", counted)
+        integral_inverse_dn(solver.pot, 2, (0.0, 0.05), solver=solver)
+        assert len(ts) == len(set(ts))
+        assert len(ts) <= 450
+
+    def test_estimate_bounds_error_against_fine_rule(self, solvers):
+        # the narrow peaks of 1/|d_1| next to t = 0 and pi; a rule that
+        # compares itself with itself used to accept 6.285910 here
+        solver = solvers("asym", n_max=4)
+        res = integral_inverse_dn(solver.pot, 1, (-PI + 1e-9, PI),
+                                  solver=solver)
+        # 1024-node composite Gauss-Legendre rule (64 panels x 16); the
+        # integrand is even in t and the solver reflects -t off t
+        half = 0.5 * PI / 32
+        gx, gw = np.polynomial.legendre.leggauss(16)
+        xs = ((np.arange(32) + 0.5)[:, None] * 2 * half
+              + half * gx[None, :]).ravel()
+        ws = np.tile(half * gw, 32)
+        vals = [1.0 / _dn_eigenvector(solver, 1, s * float(x))[0]
+                for s in (1, -1) for x in xs]
+        ref = float(np.dot(np.concatenate([ws, ws]), vals))
+        assert abs(res.value - ref) <= res.error <= 0.05 * res.value
+
+    def test_rough_integrand_raises_with_estimates(self, solvers,
+                                                   monkeypatch):
+        solver = solvers("equal", n_max=4)
+        monkeypatch.setattr(spc, "_dn_eigenvector", lambda solver, n, t: (
+            1.1 + math.sin(211.0 * t), 0j, 0.0))
+        with pytest.raises(QuadratureError) as info:
+            integral_inverse_dn(solver.pot, 2, (-PI + 1e-9, PI),
+                                solver=solver)
+        trace = info.value.trace
+        assert [eps for eps, _, _ in trace] == [1e-2, 1e-3, 1e-4, 1e-5,
+                                                1e-6]
+        assert all(est > 0.05 * val for _, val, est in trace)
 
     @pytest.mark.xfail(strict=True, reason=(
         "the divergent mass of 1/|d_2| near t = 0 carries the factorially "
