@@ -21,7 +21,8 @@ import numpy as np
 from . import floquet as flq
 from . import spectrality as spc
 from ._quadrature import composite, gauss_legendre
-from .errors import FormMismatchError, SimplenessError, ValidationError
+from .errors import (FormMismatchError, MultipleEigenvalueError,
+                     SimplenessError, ValidationError)
 from .potential import MathieuPotential, T_VALID
 
 TWO_PI = 2.0 * math.pi
@@ -130,10 +131,12 @@ def bloch_coefficient(pot: MathieuPotential, f: TestFunction, n: int, t: float,
     """Expansion coefficient a_n(t) of f along band n."""
     if solver is None:
         solver = spc.make_solver(pot, abs(n) + 1)
-    lam, v, w, status = solver.band(t, n)
-    if status != "simple":
-        raise SimplenessError(f"band {n} at t={t!r} is {status}")
-    return coefficient_from_vectors(f, t, solver.ks, v, w)
+    try:
+        primal, partner = solver.band(t, n)
+    except MultipleEigenvalueError as exc:
+        raise SimplenessError(f"band {n} at t={t!r}: {exc}") from exc
+    return coefficient_from_vectors(f, primal.t, primal.ks, primal.coeffs,
+                                    partner.coeffs)
 
 
 # --------------------------------------------------------------------------
@@ -253,26 +256,27 @@ class _Accumulator:
 
         A group is one band, or an endpoint pair whose members are summed
         before the pair is weighted: they are only jointly integrable
-        through a collision.  A group with a non-simple member is skipped.
-        One transform of f and one exp(i x freqs) serve all of a node's
-        bands.
+        through a collision.  A group with an unresolvable member is
+        skipped.  One transform of f and one exp(i x freqs) serve all of a
+        node's bands.
         """
         ks = self.solver.ks
         bands = sorted({n for g in groups for n in g})
         for t, wt in zip(nodes, weights):
             t = float(t)
-            simple = {}
+            pairs = {}
             for n in bands:
-                _, v, w, status = self.solver.band(t, n)
-                if status == "simple":
-                    simple[n] = (v, w)
-            live = [g for g in groups if all(n in simple for n in g)]
+                try:
+                    pairs[n] = self.solver.band(t, n)
+                except MultipleEigenvalueError:
+                    pass
+            live = [g for g in groups if all(n in pairs for n in g)]
             self.skipped += len(groups) - len(live)
             if not live:
                 continue
-            cols = [simple[n] for g in live for n in g]
-            v = np.column_stack([c[0] for c in cols])
-            w = np.column_stack([c[1] for c in cols])
+            cols = [pairs[n] for g in live for n in g]
+            v = np.column_stack([c[0].coeffs for c in cols])
+            w = np.column_stack([c[1].coeffs for c in cols])
             a = coefficient_from_vectors(self.f, t, ks, v, w)
             psi = np.exp(1j * np.outer(self.x, TWO_PI * ks + t)) @ v
             self.total += wt * (psi @ a)

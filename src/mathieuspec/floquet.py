@@ -128,7 +128,8 @@ class EigenSolution:
 
     ``vectors[:, i]`` is the unit right eigenvector for ``lambdas[i]``;
     ``left_vectors[:, i]`` solves the conjugate-transpose problem at
-    conj(lambdas[i]) and is the matching adjoint eigenfunction.
+    conj(lambdas[i]) and is the matching adjoint eigenfunction.  Both
+    arrays are read-only, so a band's coefficients can be views of them.
     ``is_deficient(i)`` tells whether i's cluster has a geometric
     multiplicity short of its size; each cluster is decided on first
     request.
@@ -141,9 +142,6 @@ class EigenSolution:
     residuals: np.ndarray
     left_residuals: np.ndarray
     clusters: List[List[int]]
-    #: the solution this one is the reflection of; its clusters are
-    #: decided there, so both signs of t share one verdict per cluster
-    _source: Optional["EigenSolution"] = field(default=None, repr=False)
     _verdicts: Dict[int, bool] = field(default_factory=dict, repr=False)
 
     @property
@@ -164,8 +162,6 @@ class EigenSolution:
 
     def is_deficient(self, i: int) -> bool:
         """Whether eigenvalue i sits in a cluster short of eigenvectors."""
-        if self._source is not None:
-            return self._source.is_deficient(i)
         for c, cl in enumerate(self.clusters):
             if i in cl:
                 if c not in self._verdicts:
@@ -263,6 +259,7 @@ def eig(op: TruncatedOperator) -> EigenSolution:
             f"eigensolver residual {res[bad].max():.3e} exceeds certificate "
             f"at t={op.t!r}")
     clusters = [c for c in _cluster_indices(w, CLUSTER_RTOL) if len(c) > 1]
+    vr.flags.writeable = vl.flags.writeable = False
     return EigenSolution(op=op, lambdas=w, vectors=vr, left_vectors=vl,
                          residuals=res, left_residuals=lres,
                          clusters=clusters)
@@ -285,23 +282,6 @@ def _cluster_deficient(op: TruncatedOperator, lams: np.ndarray,
     return int(np.sum(sv < GM_RTOL * max(op.scale, 1.0))) < len(cl)
 
 
-def _reflect(sol: EigenSolution) -> EigenSolution:
-    """The solution at -t read off the solution at t, without a solve.
-
-    With P the reversal k -> -k, H_{-t} = P H_t^T P entry for entry,
-    truncation included.  So if A v = lam v and A^H w = conj(lam) w at t,
-    then P conj(w) is a right and P conj(v) a left eigenvector of H_{-t}
-    for the same lam: the eigenvalues, their order and the clusters carry
-    over, and the two residuals trade places.
-    """
-    return EigenSolution(op=sol.op.mirrored(), lambdas=sol.lambdas,
-                         vectors=np.conj(sol.left_vectors[::-1]),
-                         left_vectors=np.conj(sol.vectors[::-1]),
-                         residuals=sol.left_residuals,
-                         left_residuals=sol.residuals,
-                         clusters=sol.clusters, _source=sol)
-
-
 # --------------------------------------------------------------------------
 # Bloch functions
 # --------------------------------------------------------------------------
@@ -310,21 +290,43 @@ def _reflect(sol: EigenSolution) -> EigenSolution:
 class BlochFunction:
     """Fourier coefficients of a normalized eigenfunction of H_t.
 
-    ``u`` is the coefficient at k = n and ``v`` the coefficient at the
-    mirror index (k = -n for the periodic family, k = -n-1 for the
-    antiperiodic one); ``tail_norm`` collects the rest.
+    For a simple eigenvalue at t >= 0, ``coeffs`` is a view of the
+    solution's (read-only) vector.  The family follows t: periodic for |t| <= pi/2,
+    antiperiodic beyond.  ``u`` is the coefficient at k = n and ``v`` the
+    coefficient at the mirror index (k = -n for the periodic family,
+    k = -n-1 for the antiperiodic one); ``tail_norm`` collects the rest.
     """
 
     n: int
     t: float
-    family: str
     ks: np.ndarray
     coeffs: np.ndarray
     lam: complex
-    u: complex
-    v: complex
-    tail_norm: float
     residual: float
+
+    @property
+    def family(self) -> str:
+        return "periodic" if abs(self.t) <= math.pi / 2 else "antiperiodic"
+
+    @property
+    def _mirror(self) -> int:
+        return -self.n if self.family == "periodic" else -self.n - 1
+
+    @property
+    def u(self) -> complex:
+        return self.coeff(self.n)
+
+    @property
+    def v(self) -> complex:
+        return self.coeff(self._mirror)
+
+    @property
+    def tail_norm(self) -> float:
+        rest = np.array(self.coeffs)
+        for k in (self.n, self._mirror):
+            if self.ks[0] <= k <= self.ks[-1]:
+                rest[k - self.ks[0]] = 0.0
+        return float(np.linalg.norm(rest))
 
     def coeff(self, k: int) -> complex:
         i = int(k - self.ks[0])
@@ -337,22 +339,6 @@ class BlochFunction:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         freqs = TWO_PI * self.ks + self.t
         return np.exp(1j * np.outer(x, freqs)) @ self.coeffs
-
-
-def _extract(n, t, family, ks, coeffs, lam, residual) -> BlochFunction:
-    offset = int(ks[0])
-    mirror = -n if family == "periodic" else -n - 1
-    u = complex(coeffs[n - offset]) if ks[0] <= n <= ks[-1] else 0.0j
-    v = complex(coeffs[mirror - offset]) if ks[0] <= mirror <= ks[-1] else 0.0j
-    rest = coeffs.copy()
-    if ks[0] <= n <= ks[-1]:
-        rest[n - offset] = 0.0
-    if ks[0] <= mirror <= ks[-1]:
-        rest[mirror - offset] = 0.0
-    return BlochFunction(n=n, t=float(t), family=family, ks=ks,
-                         coeffs=coeffs, lam=complex(lam), u=u, v=v,
-                         tail_norm=float(np.linalg.norm(rest)),
-                         residual=float(residual))
 
 
 def _parity_pair(op: TruncatedOperator, n: int, lam_ref: complex
@@ -406,29 +392,25 @@ def _parity_pair(op: TruncatedOperator, n: int, lam_ref: complex
     res = np.linalg.norm(op.apply(psi[:, None])[:, 0] - lam * psi)
     lres = np.linalg.norm(op.apply(psi_adj[:, None], adjoint=True)[:, 0]
                           - np.conj(lam) * psi_adj)
-    family = "antiperiodic" if at_pi else "periodic"
-    return (_extract(n, op.t, family, op.ks, psi, lam, res),
-            _extract(n, op.t, family, op.ks, psi_adj, np.conj(lam), lres))
+    return (BlochFunction(n, op.t, op.ks, psi, lam, float(res)),
+            BlochFunction(n, op.t, op.ks, psi_adj, lam.conjugate(),
+                          float(lres)))
 
 
 def bloch_function(pot: MathieuPotential, t: float, n: int,
-                   family: str = "periodic", M: Optional[int] = None,
+                   M: Optional[int] = None,
                    lambda_ref: Optional[complex] = None,
                    solution: Optional[EigenSolution] = None
                    ) -> Tuple[BlochFunction, BlochFunction]:
     """Normalized eigenfunction of band n at quasimomentum t, with partner.
 
     The partner is the adjoint eigenfunction for the conjugate eigenvalue.
-    This is the one place that resolves a labelled band: a simple
-    eigenvalue is read off the solution; a clustered, non-deficient one at
-    exactly t = 0 or |t| = pi (ab != 0) is the two-periodic pair, resolved
-    by its parity blocks, and then the family is fixed by the endpoint
-    (periodic at 0, antiperiodic at +-pi), not by ``family``.  Raises
-    MultipleEigenvalueError for a deficient or otherwise unresolvable
-    cluster.
+    A simple eigenvalue is read off the solution (solved at t when none is
+    given).  A clustered, non-deficient one at exactly t = 0 or |t| = pi
+    (ab != 0) is the two-periodic pair, resolved by its parity blocks; -pi
+    is read as pi there.  Raises MultipleEigenvalueError for a deficient or
+    otherwise unresolvable cluster.
     """
-    if family not in ("periodic", "antiperiodic"):
-        raise ValidationError(f"unknown family {family!r}")
     if M is None:
         M = default_m(abs(n) + 2)
     sol = solution if solution is not None else eig(assemble(pot, t, M))
@@ -444,12 +426,11 @@ def bloch_function(pot: MathieuPotential, t: float, n: int,
         raise MultipleEigenvalueError(
             f"eigenvalue near {lambda_ref:.6g} at t={t!r} is clustered "
             "(gap below the deficiency threshold)")
-    ks = sol.op.ks
-    primal = _extract(n, t, family, ks, sol.vectors[:, i].copy(),
-                      sol.lambdas[i], sol.residuals[i])
-    partner = _extract(n, t, family, ks, sol.left_vectors[:, i].copy(),
-                       np.conj(sol.lambdas[i]), sol.left_residuals[i])
-    return primal, partner
+    t, ks, lam = float(t), sol.op.ks, complex(sol.lambdas[i])
+    return (BlochFunction(n, t, ks, sol.vectors[:, i], lam,
+                          float(sol.residuals[i])),
+            BlochFunction(n, t, ks, sol.left_vectors[:, i], lam.conjugate(),
+                          float(sol.left_residuals[i])))
 
 
 # --------------------------------------------------------------------------
@@ -462,7 +443,8 @@ class BlochCurveSet:
 
     lambda_n(-t) = lambda_n(t) extends every curve to (-pi, pi]; accessors
     take any quasimomentum in that interval.  ``pair_labels`` records which
-    labels coalesce at the two-periodic endpoints.
+    labels coalesce at the two-periodic endpoints; ``solutions`` holds the
+    eigen-solutions the tracking made, keyed by t.
     """
 
     pot: MathieuPotential
@@ -472,7 +454,7 @@ class BlochCurveSet:
     residuals: Dict[int, np.ndarray]
     pair_labels: dict
     ambiguities: list = field(default_factory=list)
-    solutions: Optional[Dict[float, EigenSolution]] = None
+    solutions: Dict[float, EigenSolution] = field(default_factory=dict)
 
     @property
     def n_values(self) -> List[int]:
@@ -515,7 +497,7 @@ def _predict(prev: np.ndarray, prev2: Optional[np.ndarray],
     return prev + (prev - prev2) * dt_ratio
 
 
-def _assign(pred: np.ndarray, lams: np.ndarray, scale: float):
+def _assign(pred: np.ndarray, lams: np.ndarray):
     """Minimal-total-distance assignment of predictions to eigenvalues.
 
     Returns (indices, margins, seps): per label the assigned eigenvalue
@@ -539,8 +521,7 @@ def _assign(pred: np.ndarray, lams: np.ndarray, scale: float):
 
 
 def track_curves(pot: MathieuPotential, t_grid: Optional[np.ndarray] = None,
-                 n_range=None, M: Optional[int] = None,
-                 keep_solutions: bool = False) -> BlochCurveSet:
+                 n_range=None, M: Optional[int] = None) -> BlochCurveSet:
     """Track continuously numbered eigenvalue curves over [0, pi].
 
     Labels are anchored at t = pi/2 by nearest-unperturbed matching
@@ -577,7 +558,7 @@ def track_curves(pot: MathieuPotential, t_grid: Optional[np.ndarray] = None,
         sol = solve(grid[anchor_j])
         refs = np.array([free_lambda(n, grid[anchor_j]) for n in labels],
                         dtype=complex)
-        idx, _, _ = _assign(refs, sol.lambdas, sol.scale)
+        idx, _, _ = _assign(refs, sol.lambdas)
         assigned = {grid[anchor_j]: idx}
 
         new_points: List[float] = []
@@ -594,7 +575,7 @@ def track_curves(pot: MathieuPotential, t_grid: Optional[np.ndarray] = None,
                 ratio = 1.0 if prev2_vals is None else dt_prev / max(
                     abs(prev_t - prev2_t), 1e-300)
                 pred = _predict(prev_vals, prev2_vals, ratio)
-                aidx, margins, seps = _assign(pred, s.lambdas, s.scale)
+                aidx, margins, seps = _assign(pred, s.lambdas)
                 tol = np.maximum(s.residuals[aidx], 1e-12 * s.scale)
                 bad = (margins < tol) & (seps > 10.0 * tol)
                 if np.any(bad) and dt_prev > 1e-9:
@@ -641,8 +622,7 @@ def track_curves(pot: MathieuPotential, t_grid: Optional[np.ndarray] = None,
 
     return BlochCurveSet(pot=pot, M=M, t_samples=grid, curves=curves,
                          residuals=residuals, pair_labels=pair_labels,
-                         ambiguities=ambiguities,
-                         solutions=dict(cache) if keep_solutions else None)
+                         ambiguities=ambiguities, solutions=cache)
 
 
 def _c2l(z: complex) -> list:
@@ -677,49 +657,53 @@ def stable_m(pot: MathieuPotential, n_max: int) -> int:
 # --------------------------------------------------------------------------
 
 class BandSolver:
-    """Cache of labeled eigen-solutions along a set of tracked curves.
+    """Labelled Bloch pairs along a set of tracked curves.
 
-    Resolves (n, t) -> (lambda, Psi coefficients, adjoint coefficients)
-    for any t in (-pi, pi], reusing one matrix factorization per distinct
-    |t| (a negative t is the reflection of its positive twin) and the
-    tracked curves as labeling references.
+    Resolves (n, t) -> (Psi, adjoint partner) for any t in (-pi, pi],
+    reusing one matrix factorization per distinct |t| and the tracked
+    curves as labelling references.  The cache starts as the tracking's
+    own solutions.
     """
 
     def __init__(self, pot: MathieuPotential, curves: BlochCurveSet):
         self.pot = pot
         self.curves = curves
         self.M = curves.M
-        self._cache: Dict[float, EigenSolution] = {}
-        if curves.solutions:
-            for t, s in curves.solutions.items():
-                self._cache[float(t)] = s
+        self._cache = curves.solutions
 
     def solution(self, t: float) -> EigenSolution:
-        """The solution at t; for t < 0 it is reflected from the one at -t."""
+        """The solution at t >= 0, solved on first request."""
         t = float(t)
-        if t < 0 and t not in self._cache:
-            self._cache[t] = _reflect(self._solve(-t))
-        return self._solve(t)
-
-    def _solve(self, t: float) -> EigenSolution:
         if t not in self._cache:
             self._cache[t] = eig(assemble(self.pot, t, self.M))
         return self._cache[t]
 
-    def band(self, t: float, n: int):
-        """(lambda, right vector, left vector, flags) for band n at t.
+    def band(self, t: float, n: int) -> Tuple[BlochFunction, BlochFunction]:
+        """(primal, partner) of band n at t; -pi is read as pi.
 
-        flags: 'simple', 'clustered', or 'deficient'.
+        t >= 0 goes through ``bloch_function`` on ``solution(t)`` with the
+        curve value as reference.  A negative t is resolved at -t and
+        reflected: with P the reversal k -> -k, H_{-t} = P H_t^T P entry
+        for entry, truncation included.  So if A v = lam v and
+        A^H w = conj(lam) w at t, then P conj(w) is a right and P conj(v)
+        a left eigenvector of H_{-t} for the same lam, and the two
+        residuals trade places.  Raises MultipleEigenvalueError where
+        ``bloch_function`` does.
         """
-        sol = self.solution(t)
-        i = sol.nearest(self.curves.value(n, t))
-        if sol.is_deficient(i):
-            status = "deficient"
-        elif sol.is_clustered(i):
-            status = "clustered"
-        else:
-            status = "simple"
-        return sol.lambdas[i], sol.vectors[:, i], sol.left_vectors[:, i], status
+        t = float(t)
+        if t == -math.pi:
+            t = math.pi
+        elif t < 0:
+            primal, partner = self.band(-t, n)
+            return (BlochFunction(n, t, partner.ks,
+                                  np.conj(partner.coeffs[::-1]), primal.lam,
+                                  partner.residual),
+                    BlochFunction(n, t, primal.ks,
+                                  np.conj(primal.coeffs[::-1]), partner.lam,
+                                  primal.residual))
+        return bloch_function(self.pot, t, n, M=self.M,
+                              lambda_ref=self.curves.value(n, t),
+                              solution=self.solution(t))
 
     @property
     def ks(self) -> np.ndarray:

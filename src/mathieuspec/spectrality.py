@@ -43,7 +43,7 @@ def make_solver(pot: MathieuPotential, n_max: int,
     """Tracked curves + labeled eigen-solve cache for bands |n| <= n_max+1."""
     curves = flq.track_curves(
         pot, t_grid=flq.default_grid(t_points),
-        n_range=range(-(n_max + 1), n_max + 2), keep_solutions=True)
+        n_range=range(-(n_max + 1), n_max + 2))
     return flq.BandSolver(pot, curves)
 
 
@@ -75,12 +75,8 @@ def _dn_eigenvector(solver: flq.BandSolver, n: int, t: float):
 
     diag carries the two-term truncation gap |<c,c*> - (u u* + v v*)|.
     """
-    family = "periodic" if abs(t) <= math.pi / 2 else "antiperiodic"
     try:
-        primal, partner = flq.bloch_function(
-            solver.pot, t, n, family, M=solver.M,
-            lambda_ref=solver.curves.value(n, t),
-            solution=solver.solution(t))
+        primal, partner = solver.band(t, n)
     except MultipleEigenvalueError:
         return None
     d = np.vdot(partner.coeffs, primal.coeffs)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mathieuspec import MathieuPotential, assemble, eig, make_solver
+from mathieuspec import MathieuPotential, bloch_function, make_solver
 
 POTS = {
     "free": MathieuPotential(0, 0),
@@ -10,6 +10,14 @@ POTS = {
     "asym": MathieuPotential(1, 2),
     "negprod": MathieuPotential(1, -1),
     "gasymov": MathieuPotential(0, 1),
+    # one potential of each benchmark class
+    "bench-sa": MathieuPotential(0.5025886253061008 - 0.16168359416589173j,
+                                 0.5025886253061008 + 0.16168359416589173j),
+    "bench-eq": MathieuPotential(0.5630686690634059 - 0.188249341635913j,
+                                 -0.43571869411525155 + 0.4032782665922996j),
+    "bench-un": MathieuPotential(0.8376456348484289 + 0.14651318151296733j,
+                                 -2.9177297344498583 - 0.7129705044539645j),
+    "bench-os": MathieuPotential(0j, 0.1984015861053919 - 0.8056621698921916j),
 }
 
 
@@ -35,10 +43,9 @@ def dn_direct():
     solves the operator at t itself, so a +-t comparison still tests it.
     """
     def get(solver, n, t):
-        sol = eig(assemble(solver.pot, t, solver.M))
-        i = sol.nearest(solver.curves.value(n, t))
-        assert not sol.is_clustered(i)
-        return abs(np.vdot(sol.left_vectors[:, i], sol.vectors[:, i]))
+        primal, partner = bloch_function(solver.pot, t, n, M=solver.M,
+                                         lambda_ref=solver.curves.value(n, t))
+        return abs(np.vdot(partner.coeffs, primal.coeffs))
 
     return get
 

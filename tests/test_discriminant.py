@@ -372,8 +372,8 @@ class TestWronskianProjection:
     def test_dual_method_consistency(self, solvers):
         solver = solvers("asym")
         for (n, t) in ((6, 0.35), (4, 1.2), (2, 2.5)):
-            lam, v, w, status = solver.band(t, n)
-            assert status == "simple"
+            primal, partner = solver.band(t, n)
+            lam, v, w = primal.lam, primal.coeffs, partner.coeffs
             d_vec = abs(np.vdot(w, v))
             d_wr = dn_via_wronskian(solver.pot, n, t, lam)
             assert abs(d_vec - d_wr) <= 0.05 * d_wr

@@ -5,8 +5,10 @@ import pytest
 from scipy.integrate import quad
 
 from mathieuspec import (ExpansionPlan, FormMismatchError, MathieuPotential,
-                         TestFunction, ValidationError, bloch_coefficient,
-                         coefficient_from_vectors, make_plan, reconstruct)
+                         SimplenessError, TestFunction, ValidationError,
+                         bloch_coefficient, coefficient_from_vectors,
+                         make_plan, reconstruct)
+from mathieuspec.floquet import _parity_pair
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
@@ -75,6 +77,30 @@ class TestCoefficients:
         a = bloch_coefficient(solver.pot, f, 1, -2.0, solver=solver)
         assert a == pytest.approx(f.transform(-TWO_PI - 2.0), rel=1e-12)
 
+    def test_two_periodic_pair_at_endpoints(self, solvers):
+        # (1, 2) has a non-deficient double at t = 0 (bands 2, -2) and at
+        # pi (bands 2, -3); each band reads its member of the parity pair
+        solver = solvers("asym")
+        f = TestFunction("gaussian", center=0.2, width=0.2)
+        for t, ns in ((0.0, (2, -2)), (PI, (2, -3))):
+            sol = solver.solution(t)
+            for n in ns:
+                ref = solver.curves.value(n, t)
+                assert sol.is_clustered(sol.nearest(ref))
+                c, c_adj = _parity_pair(sol.op, n, ref)
+                fhat = f.transform(TWO_PI * c.ks + t)
+                want = (np.vdot(c_adj.coeffs, fhat)
+                        / np.vdot(c_adj.coeffs, c.coeffs))
+                got = bloch_coefficient(solver.pot, f, n, t, solver=solver)
+                assert got == pytest.approx(want, rel=1e-12)
+
+    def test_deficient_pair_refused(self, solvers):
+        solver = solvers("gasymov")
+        f = TestFunction("gaussian", width=0.2)
+        for t in (0.0, PI):
+            with pytest.raises(SimplenessError):
+                bloch_coefficient(solver.pot, f, 2, t, solver=solver)
+
     def test_transform_decay_kills_high_bands(self, solvers):
         solver = solvers("equal", n_max=5)
         f = TestFunction("gaussian", width=1.0)
@@ -85,8 +111,8 @@ class TestCoefficients:
         solver = solvers("asym", n_max=5)
         f = TestFunction("gaussian", width=1.0)
         t, n = 1.0, 2
-        lam, v, w, status = solver.band(t, n)
-        assert status == "simple"
+        primal, partner = solver.band(t, n)
+        v, w = primal.coeffs, partner.coeffs
         a0 = coefficient_from_vectors(f, t, solver.ks, v, w)
         x = np.linspace(-1, 1, 5)
         freqs = TWO_PI * solver.ks + t
@@ -163,8 +189,8 @@ class TestReconstruction:
         freqs_of = lambda t: TWO_PI * solver.ks + t
 
         def term(t, n):
-            lam, v, w, status = solver.band(t, n)
-            assert status == "simple"
+            primal, partner = solver.band(t, n)
+            v, w = primal.coeffs, partner.coeffs
             a = coefficient_from_vectors(f, t, solver.ks, v, w)
             return a * (np.exp(1j * np.outer(x, freqs_of(t))) @ v)[0]
 

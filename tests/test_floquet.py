@@ -1,18 +1,22 @@
 import cmath
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mathieuspec import (MathieuPotential, MultipleEigenvalueError,
-                         ValidationError, assemble, bloch_function,
-                         default_grid, discriminant, dn_profile, eig,
-                         free_lambda, make_solver, track_curves)
+from mathieuspec import (BandSolver, BlochFunction, MathieuPotential,
+                         MultipleEigenvalueError, ValidationError, assemble,
+                         bloch_function, default_grid, discriminant,
+                         dn_profile, eig, free_lambda, make_solver,
+                         track_curves)
 from mathieuspec import floquet as flq
 from mathieuspec.floquet import (CLUSTER_RTOL, GM_RTOL, _cluster_indices,
-                                 _extract, _parity_pair, _reflect, default_m,
-                                 stable_m)
+                                 _parity_pair, default_m, stable_m)
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
@@ -272,16 +276,17 @@ class TestOnDemandDeficiency:
         sol = solver.solution(0.0)
         i = sol.nearest(solver.curves.value(2, 0.0))
         assert sol.is_clustered(i)
-        # (2, -2) share one cluster at t = 0
+        # (2, -2) share one cluster at t = 0; it is not deficient, so each
+        # band resolves as its member of the two-periodic pair
         for _ in range(3):
             for n in (2, -2):
-                assert solver.band(0.0, n)[3] == "clustered"
+                assert solver.band(0.0, n)[0].t == 0.0
         assert len(svd_count) == 1
-        # (2, -3) share one at t = pi, and -pi, reflected from pi, reads
-        # the same verdict
+        # (2, -3) share one at t = pi, and -pi, read as pi, reuses its
+        # verdict
         for t in (PI, -PI, PI):
             for n in (2, -3):
-                assert solver.band(t, n)[3] == "clustered"
+                assert solver.band(t, n)[0].t == PI
         assert len(svd_count) == 2
 
 
@@ -293,64 +298,127 @@ REFLECTION_POTS = {
 }
 
 
+def _band_or_none(solve, *args, **kwargs):
+    try:
+        return solve(*args, **kwargs)
+    except MultipleEigenvalueError:
+        return None
+
+
 class TestReflection:
     @pytest.mark.parametrize("name", sorted(REFLECTION_POTS))
     def test_matches_direct_solve(self, name):
         pot = REFLECTION_POTS[name]
-        for t in (0.37, 1.9, 1e-9, PI - 1e-9, PI):
-            for m in (12, 32):
-                sol = eig(assemble(pot, t, m))
-                ref = _reflect(sol)
+        eps = np.finfo(float).eps
+        for m in (12, 32):
+            solver = BandSolver(pot, track_curves(
+                pot, t_grid=default_grid(16), n_range=range(-3, 4), M=m))
+            for t in (0.37, 1.9, 1e-9, PI - 1e-9):
                 op = assemble(pot, -t, m)
-                direct = eig(op)
-                assert ref.op.t == -t
-                assert np.array_equal(ref.op.diag, op.diag)
                 scale = op.scale
-                assert np.max(np.abs(np.sort_complex(ref.lambdas)
-                                     - np.sort_complex(direct.lambdas))) \
-                    <= 1e-12 * scale
-                eps = np.finfo(float).eps
-                for i in range(len(ref.lambdas)):
-                    if ref.is_clustered(i):
+                lams = solver.solution(t).lambdas
+                for n in range(-3, 4):
+                    got = _band_or_none(solver.band, -t, n)
+                    direct = _band_or_none(
+                        bloch_function, pot, -t, n, M=m,
+                        lambda_ref=solver.curves.value(n, -t))
+                    # a band the direct solve refuses is refused here too
+                    assert (got is None) == (direct is None)
+                    if got is None:
                         continue
-                    j = direct.nearest(ref.lambdas[i])
-                    d_ref = abs(np.vdot(ref.left_vectors[:, i],
-                                        ref.vectors[:, i]))
-                    d_dir = abs(np.vdot(direct.left_vectors[:, j],
-                                        direct.vectors[:, j]))
+                    primal, partner = got
+                    assert primal.t == partner.t == -t
+                    assert abs(primal.lam - direct[0].lam) <= 1e-12 * scale
+                    assert partner.lam == np.conj(primal.lam)
+                    d_ref = abs(np.vdot(partner.coeffs, primal.coeffs))
+                    d_dir = abs(np.vdot(direct[1].coeffs, direct[0].coeffs))
                     # a near-double (the unequal pair at pi - 1e-9 is 7e-5
                     # apart) moves |d| by rounding / gap in any solve
-                    gap = np.partition(np.abs(ref.lambdas - ref.lambdas[i]),
-                                       1)[1]
-                    assert abs(d_ref - d_dir) <= max(1e-10,
-                                                     eps * scale / gap)
-                # the copied certificates hold for the reflected vectors
-                res = np.linalg.norm(op.apply(ref.vectors)
-                                     - ref.vectors * ref.lambdas, axis=0)
-                lres = np.linalg.norm(
-                    op.apply(ref.left_vectors, adjoint=True)
-                    - ref.left_vectors * np.conj(ref.lambdas), axis=0)
-                assert np.max(np.abs(res - ref.residuals)) <= eps * scale
-                assert np.max(np.abs(lres - ref.left_residuals)) \
-                    <= eps * scale
-                cert = 1e-8 * max(scale, 1.0)
-                assert res.max() <= cert and lres.max() <= cert
-                # the two solves order their eigenvalues differently
-                match = [direct.nearest(lam) for lam in ref.lambdas]
-                assert np.array_equal(ref.deficiency_flags,
-                                      direct.deficiency_flags[match])
-                assert sorted(map(len, ref.clusters)) == \
-                    sorted(map(len, direct.clusters))
+                    gap = np.partition(np.abs(lams - primal.lam), 1)[1]
+                    assert abs(d_ref - d_dir) <= max(1e-10, eps * scale / gap)
+                    # the carried certificates hold for the reflected vectors
+                    res = np.linalg.norm(op.apply(primal.coeffs[:, None])[:, 0]
+                                         - primal.lam * primal.coeffs)
+                    lres = np.linalg.norm(
+                        op.apply(partner.coeffs[:, None], adjoint=True)[:, 0]
+                        - partner.lam * partner.coeffs)
+                    assert abs(res - primal.residual) <= eps * scale
+                    assert abs(lres - partner.residual) <= eps * scale
+                    cert = 1e-8 * max(scale, 1.0)
+                    assert res <= cert and lres <= cert
 
     def test_solver_reflects_negative_t(self, monkeypatch):
         solver = make_solver(MathieuPotential(1, 2), 2)
         t = float(solver.curves.t_samples[40])
+        primal, partner = solver.band(t, 2)
         calls = []
         monkeypatch.setattr(flq, "eig", lambda op: calls.append(op))
-        sol = solver.solution(-t)
+        mp, mq = solver.band(-t, 2)
         assert calls == []
-        assert sol.op.t == -t and sol is solver.solution(-t)
-        assert np.array_equal(sol.lambdas, solver.solution(t).lambdas)
+        assert mp.t == mq.t == -t
+        assert mp.lam == primal.lam and mq.lam == partner.lam
+        assert np.array_equal(mp.coeffs, np.conj(partner.coeffs[::-1]))
+        assert np.array_equal(mq.coeffs, np.conj(primal.coeffs[::-1]))
+        assert (mp.residual, mq.residual) == (partner.residual,
+                                              primal.residual)
+        # the reflection is made per band, never stored as a solution
+        assert min(solver._cache) >= 0.0
+
+
+EDGE_TS = [0.0, PI, -PI, 1e-15, -1e-15, PI - 1e-15, -(PI - 1e-15)]
+
+
+class TestBandEdgeInputs:
+    @given(st.sampled_from(["sa", "eq", "un", "os"]),
+           st.one_of(st.sampled_from(EDGE_TS),
+                     st.floats(-PI, PI, exclude_min=True)),
+           st.integers(-4, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_certified_pair_or_refusal(self, solvers, klass, t, n):
+        solver = solvers(f"bench-{klass}", n_max=3)
+        got = _band_or_none(solver.band, t, n)
+        if got is None:
+            return
+        primal, partner = got
+        assert primal.t == partner.t == (PI if t == -PI else t)
+        op = assemble(solver.pot, primal.t, solver.M)
+        cert = 1e-8 * op.scale
+        res = np.linalg.norm(op.apply(primal.coeffs[:, None])[:, 0]
+                             - primal.lam * primal.coeffs)
+        lres = np.linalg.norm(
+            op.apply(partner.coeffs[:, None], adjoint=True)[:, 0]
+            - partner.lam * partner.coeffs)
+        assert res <= cert and lres <= cert
+        if t == 0.0 or abs(t) == PI:
+            return
+        # the other sign: read through the reflection, or solved directly
+        mirrored = _band_or_none(solver.band, -t, n)
+        direct = _band_or_none(bloch_function, solver.pot, -t, n,
+                               M=solver.M,
+                               lambda_ref=solver.curves.value(n, -t))
+        assert (mirrored is None) == (direct is None)
+        if direct is None:
+            return
+        assert abs(mirrored[0].lam - direct[0].lam) <= 1e-12 * op.scale
+        d_ref = abs(np.vdot(mirrored[1].coeffs, mirrored[0].coeffs))
+        d_dir = abs(np.vdot(direct[1].coeffs, direct[0].coeffs))
+        lams = solver.solution(abs(t)).lambdas
+        gap = np.partition(np.abs(lams - primal.lam), 1)[1]
+        assert abs(d_ref - d_dir) <= max(
+            1e-10, np.finfo(float).eps * op.scale / gap)
+
+
+def test_eigen_solutions_read_only_in_floquet():
+    # every other module gets a band's vectors from BandSolver.band or
+    # bloch_function, and no module branches on a band-status string
+    vectors = re.compile(r"\.(left_)?vectors\b")
+    status = re.compile(r"[\"'](simple|clustered|deficient)[\"']")
+    sources = {p.name: p.read_text() for p in
+               Path(flq.__file__).parent.glob("*.py")}
+    assert {name for name, text in sources.items()
+            if vectors.search(text)} == {"floquet.py"}
+    assert not [name for name, text in sources.items()
+                if status.search(text)]
 
 
 class TestAdjoint:
@@ -562,9 +630,9 @@ def _two_periodic_pair_reference(pot, n, at_pi, M):
     s = cmath.sqrt(pot.a / pot.b)
     g = cmath.sqrt(pot.ab)
     if at_pi:
-        ks, t, family = np.arange(-M, M), PI, "antiperiodic"
+        ks, t = np.arange(-M, M), PI
     else:
-        ks, t, family = np.arange(-M, M + 1), 0.0, "periodic"
+        ks, t = np.arange(-M, M + 1), 0.0
     nk = len(ks)
     offset = int(ks[0])
     diag = (TWO_PI * ks + t) ** 2
@@ -600,11 +668,11 @@ def _two_periodic_pair_reference(pot, n, at_pi, M):
         psi = scaling * vfull
         psi_adj = adj_scaling * np.conj(vfull)
         lam = complex(w[j])
-        out.append((_extract(n, t, family, ks, psi / np.linalg.norm(psi),
-                             lam, 0.0),
-                    _extract(n, t, family, ks,
-                             psi_adj / np.linalg.norm(psi_adj),
-                             np.conj(lam), 0.0)))
+        out.append((BlochFunction(n, t, ks, psi / np.linalg.norm(psi),
+                                  lam, 0.0),
+                    BlochFunction(n, t, ks,
+                                  psi_adj / np.linalg.norm(psi_adj),
+                                  np.conj(lam), 0.0)))
     return out
 
 
@@ -649,33 +717,27 @@ class TestParityPair:
         sol = solver.solution(PI)
         assert sol.is_clustered(sol.nearest(solver.curves.value(n, PI)))
         lam_ref = solver.curves.value(n, PI)
-        at_pi = bloch_function(pot, PI, n, M=solver.M, lambda_ref=lam_ref,
-                               solution=sol)
-        at_minus = bloch_function(pot, -PI, n, M=solver.M,
-                                  lambda_ref=lam_ref,
-                                  solution=solver.solution(-PI))
+        at_pi = solver.band(PI, n)
+        at_minus = solver.band(-PI, n)
         for got, want in zip(at_minus, at_pi):
             assert got.t == PI and got.family == "antiperiodic"
             assert got.lam == want.lam
             assert np.array_equal(got.coeffs, want.coeffs)
-        # no solution handed in: the -pi operator is solved and read as pi
+        # bloch_function with no solution handed in: the -pi operator is
+        # solved, and its pair is read as pi
         fresh = bloch_function(pot, -PI, n, M=solver.M, lambda_ref=lam_ref)
         assert fresh[0].t == PI
         assert np.array_equal(fresh[0].coeffs, at_pi[0].coeffs)
 
     def test_endpoint_fixes_family(self):
-        # the default family is periodic, but the pair at pi is antiperiodic
-        # whatever the caller asks for; at 0 it is periodic
+        # the pair at pi is antiperiodic, at 0 periodic
         pot = MathieuPotential(1, 2)
         _assert_clustered(pot, PI, 2)
-        for family in ("periodic", "antiperiodic"):
-            primal, _ = bloch_function(pot, PI, 2, family=family)
-            assert primal.family == "antiperiodic"
-            assert primal.u == primal.coeff(2) and primal.v == primal.coeff(-3)
         primal, _ = bloch_function(pot, PI, 2)
         assert primal.family == "antiperiodic"
+        assert primal.u == primal.coeff(2) and primal.v == primal.coeff(-3)
         _assert_clustered(pot, 0.0, 3)
-        primal, _ = bloch_function(pot, 0.0, 3, family="antiperiodic")
+        primal, _ = bloch_function(pot, 0.0, 3)
         assert primal.family == "periodic" and primal.v == primal.coeff(-3)
 
     def test_profile_resolves_endpoints_through_it(self, solvers,

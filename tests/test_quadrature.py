@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import mathieuspec
-from mathieuspec import (ExpansionPlan, MathieuPotential, TestFunction,
+from mathieuspec import (ExpansionPlan, MathieuPotential,
+                         MultipleEigenvalueError, TestFunction,
                          coefficient_from_vectors, make_plan, make_solver,
                          reconstruct)
 from mathieuspec import expansion as exp_mod
@@ -85,9 +86,11 @@ class _PerBandAccumulator:
         self.skipped = 0
 
     def _band_term(self, t, n):
-        lam, v, w, status = self.solver.band(t, n)
-        if status != "simple":
+        try:
+            primal, partner = self.solver.band(t, n)
+        except MultipleEigenvalueError:
             return None
+        v, w = primal.coeffs, partner.coeffs
         a = coefficient_from_vectors(self.f, t, self.solver.ks, v, w)
         freqs = TWO_PI * self.solver.ks + t
         psi = np.exp(1j * np.outer(self.x, freqs)) @ v
