@@ -20,8 +20,7 @@ from .floquet import (BlochCurveSet, BlochFunction, BandSolver, EigenSolution,
                       TruncatedOperator, assemble, bloch_function,
                       default_grid, eig, free_lambda, track_curves)
 from .discriminant import (CriticalPoint, EigenRoot, FundamentalData,
-                           count_roots, discriminant, discriminant_derivative,
-                           dn_via_wronskian, eigenvalues_at,
+                           count_roots, dn_via_wronskian, eigenvalues_at,
                            find_critical_points, fundamental_solutions)
 from .asymptotic import (DTerm, PredictedDegeneracy, SeriesValue, A_series,
                          D_of, a_series_term, asymptotic_lambda,

@@ -21,8 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import asymptotic as asy
-from .discriminant import (discriminant as hill_discriminant,
-                           find_critical_points, fundamental_solutions)
+from .discriminant import find_critical_points, fundamental_solutions
 from . import expansion as exp_mod
 from . import floquet as flq
 from . import spectrality as spc
@@ -213,12 +212,9 @@ def _cmd_spectrum(cfg: JobConfig, out: Path) -> dict:
         lines.append(",".join([str(n), _fmt(t), _fmt(lam.real),
                                _fmt(lam.imag), _fmt(res)]))
     (out / "curves.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    anchor = math.pi / 2
-    anchor_sol = flq.eig(flq.assemble(pot, anchor, curves.M))
+    solver = flq.BandSolver(pot, curves)
     for n in curves.n_values:
-        bf, _ = flq.bloch_function(pot, anchor, n, M=curves.M,
-                                   lambda_ref=curves.value(n, anchor),
-                                   solution=anchor_sol)
+        bf, _ = solver.band(math.pi / 2, n)
         rows = ["k,re_c,im_c"]
         rows.extend(",".join([str(int(k)), _fmt(c.real), _fmt(c.imag)])
                     for k, c in zip(bf.ks, bf.coeffs))
@@ -359,7 +355,7 @@ def _cmd_verify(cfg: JobConfig, out: Path) -> dict:
         check("dn-symmetry", abs(got_p[0] - d_m) <= 1e-8,
               f"|d(t)-d(-t)|={abs(got_p[0] - d_m):.3e}")
     lam = solver.band(t_s, 2)[0].lam
-    res = abs(hill_discriminant(pot, lam) - 2.0 * math.cos(t_s))
+    res = abs(fundamental_solutions(pot, lam).f - 2.0 * math.cos(t_s))
     check("oracle-equivalence", res <= 1e-7, f"|F-2cos t|={res:.3e}")
 
     for row in checks:

@@ -108,6 +108,7 @@ class FundamentalData:
 
     @property
     def f(self) -> complex:
+        """F(lambda) = phi'(1, lambda) + theta(1, lambda)."""
         return self.theta1 + self.dphi1
 
     @property
@@ -391,15 +392,6 @@ def _fundamental_batch(pot: MathieuPotential,
             out[i] = fd
             _store(pot, fd, False)
     return out
-
-
-def discriminant(pot: MathieuPotential, lam: complex) -> complex:
-    """F(lambda) = phi'(1, lambda) + theta(1, lambda)."""
-    return fundamental_solutions(pot, lam).f
-
-
-def discriminant_derivative(pot: MathieuPotential, lam: complex) -> complex:
-    return fundamental_solutions(pot, lam).f_prime
 
 
 # --------------------------------------------------------------------------

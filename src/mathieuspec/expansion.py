@@ -174,9 +174,9 @@ class ExpansionPlan:
 
 def make_plan(pot: MathieuPotential, n_max: int, form: Optional[str] = None,
               h: float = 0.02, **knobs) -> ExpansionPlan:
-    """Build a plan; the form defaults to the classifier's verdict."""
+    """Build a plan; the form defaults to ``spectrality.expansion_form``."""
     if form is None:
-        form = spc.classify_operator(pot).expansion_form
+        form = spc.expansion_form(pot)
     return ExpansionPlan(form=form, n_max=n_max, h=h, **knobs)
 
 

@@ -124,15 +124,15 @@ def assemble(pot: MathieuPotential, t: float, M: int) -> TruncatedOperator:
 
 @dataclass
 class EigenSolution:
-    """Eigen-decomposition with residual certificates and cluster analysis.
+    """Eigen-decomposition with residual certificates.
 
     ``vectors[:, i]`` is the unit right eigenvector for ``lambdas[i]``;
     ``left_vectors[:, i]`` solves the conjugate-transpose problem at
     conj(lambdas[i]) and is the matching adjoint eigenfunction.  Both
     arrays are read-only, so a band's coefficients can be views of them.
-    ``is_deficient(i)`` tells whether i's cluster has a geometric
-    multiplicity short of its size; each cluster is decided on first
-    request.
+    ``cluster(i)`` and ``is_deficient(i)`` answer the cluster question for
+    one eigenvalue when a caller asks it; each cluster's verdict is
+    decided on first request.
     """
 
     op: TruncatedOperator
@@ -141,7 +141,6 @@ class EigenSolution:
     left_vectors: np.ndarray
     residuals: np.ndarray
     left_residuals: np.ndarray
-    clusters: List[List[int]]
     _verdicts: Dict[int, bool] = field(default_factory=dict, repr=False)
 
     @property
@@ -151,40 +150,27 @@ class EigenSolution:
     def nearest(self, lam_ref: complex) -> int:
         return int(np.argmin(np.abs(self.lambdas - lam_ref)))
 
-    def cluster_of(self, i: int) -> List[int]:
-        for cl in self.clusters:
-            if i in cl:
-                return cl
-        return [i]
-
-    def is_clustered(self, i: int) -> bool:
-        return len(self.cluster_of(i)) > 1
+    def cluster(self, i: int) -> List[int]:
+        """The sorted indices of eigenvalue i's cluster (i alone if simple)."""
+        return _component(self.lambdas, i, CLUSTER_RTOL)
 
     def is_deficient(self, i: int) -> bool:
         """Whether eigenvalue i sits in a cluster short of eigenvectors."""
-        for c, cl in enumerate(self.clusters):
-            if i in cl:
-                if c not in self._verdicts:
-                    self._verdicts[c] = _cluster_deficient(
-                        self.op, self.lambdas, cl)
-                return self._verdicts[c]
-        return False
-
-    @property
-    def deficiency_flags(self) -> np.ndarray:
-        """``is_deficient`` for every eigenvalue (decides every cluster)."""
-        flags = np.zeros(len(self.lambdas), dtype=bool)
-        for cl in self.clusters:
-            flags[cl] = self.is_deficient(cl[0])
-        return flags
+        cl = self.cluster(i)
+        if len(cl) < 2:
+            return False
+        if cl[0] not in self._verdicts:
+            self._verdicts[cl[0]] = _cluster_deficient(self.op, self.lambdas,
+                                                       cl)
+        return self._verdicts[cl[0]]
 
 
-def _cluster_indices(lams: np.ndarray, rtol: float) -> List[List[int]]:
-    """Single-linkage grouping of eigenvalues with gaps below rtol locally.
+def _component(lams: np.ndarray, i: int, rtol: float) -> List[int]:
+    """Sorted single-linkage component of the eigenvalues holding index i.
 
-    Two eigenvalues are linked when |l_i - l_j| < rtol*(1 + min(|l_i|, |l_j|));
-    the groups are the connected components of that relation (so chains
-    link transitively), each sorted and listed by its smallest index.
+    Two eigenvalues are linked when |l_i - l_j| < rtol*(1 + min(|l_i|, |l_j|)),
+    and links chain transitively; a simple eigenvalue costs one comparison
+    against the rest.
 
     The gap threshold scales with the eigenvalue magnitude, not the matrix
     norm: tridiagonal eigenvalues come out far more accurately than the
@@ -192,24 +178,13 @@ def _cluster_indices(lams: np.ndarray, rtol: float) -> List[List[int]]:
     near-endpoint neighborhoods into fake clusters as M grows.
     """
     lams = np.asarray(lams)
-    n = len(lams)
     mag = np.abs(lams)
-    # single-linkage needs all close pairs, not just real-sorted neighbors
-    close = (np.abs(lams[:, None] - lams[None, :])
-             < rtol * (1.0 + np.minimum(mag[:, None], mag[None, :])))
-    # min-label propagation: at the fixed point every member carries the
-    # smallest index of its component
-    labels = np.arange(n)
-    while True:
-        new = np.minimum(labels, np.where(close, labels[None, :], n).min(
-            axis=1, initial=n))
-        if np.array_equal(new, labels):
-            break
-        labels = new
-    groups: Dict[int, List[int]] = {}
-    for i, lab in enumerate(labels.tolist()):
-        groups.setdefault(lab, []).append(i)
-    return list(groups.values())
+    members = [i]
+    for j in members:       # the list grows while it is walked
+        near = np.abs(lams - lams[j]) < rtol * (1.0 + np.minimum(mag, mag[j]))
+        members += [k for k in np.flatnonzero(near).tolist()
+                    if k not in members]
+    return sorted(members)
 
 
 def eig(op: TruncatedOperator) -> EigenSolution:
@@ -227,9 +202,9 @@ def eig(op: TruncatedOperator) -> EigenSolution:
     The residual certificates ||A v - lambda v|| and ||A^H w - conj(lambda) w||
     are evaluated from the three diagonals rather than by dense products.
     The dense matrix is built only for the non-Hermitian solve.  Clusters
-    are found here, but whether one is deficient is decided only when a
-    caller asks (``EigenSolution.is_deficient``), so the clusters at the
-    truncation edge that no band label reaches cost no singular values.
+    and their deficiency are found only when a caller asks
+    (``EigenSolution.cluster``, ``is_deficient``), so a solve whose
+    clusters nobody reads, like the tracking's, groups nothing.
     """
     scale = op.scale
     try:
@@ -258,11 +233,9 @@ def eig(op: TruncatedOperator) -> EigenSolution:
         raise MultipleEigenvalueError(
             f"eigensolver residual {res[bad].max():.3e} exceeds certificate "
             f"at t={op.t!r}")
-    clusters = [c for c in _cluster_indices(w, CLUSTER_RTOL) if len(c) > 1]
     vr.flags.writeable = vl.flags.writeable = False
     return EigenSolution(op=op, lambdas=w, vectors=vr, left_vectors=vl,
-                         residuals=res, left_residuals=lres,
-                         clusters=clusters)
+                         residuals=res, left_residuals=lres)
 
 
 def _cluster_deficient(op: TruncatedOperator, lams: np.ndarray,
@@ -417,7 +390,7 @@ def bloch_function(pot: MathieuPotential, t: float, n: int,
     if lambda_ref is None:
         lambda_ref = free_lambda(n, t)
     i = sol.nearest(lambda_ref)
-    if sol.is_clustered(i):
+    if len(sol.cluster(i)) > 1:
         if sol.is_deficient(i):
             raise MultipleEigenvalueError(
                 f"eigenvalue near {lambda_ref:.6g} at t={t!r} is deficient")
@@ -509,14 +482,15 @@ def _assign(pred: np.ndarray, lams: np.ndarray):
     rows, cols = linear_sum_assignment(cost)
     idx = np.empty(len(pred), dtype=int)
     idx[rows] = cols
-    margins = np.empty(len(pred))
-    seps = np.empty(len(pred))
-    for r in range(len(pred)):
-        c = idx[r]
-        others = np.delete(np.arange(len(lams)), c)
-        alt = others[np.argmin(cost[r, others])]
-        margins[r] = cost[r, alt] - cost[r, c]
-        seps[r] = abs(lams[alt] - lams[c])
+    r = np.arange(len(pred))
+    others = cost.copy()
+    others[r, idx] = np.inf
+    alt = np.argmin(others, axis=1)
+    margins = cost[r, alt] - cost[r, idx]
+    # np.hypot rounds as the scalar complex abs does; the vectorized
+    # complex abs can differ from both in the last bit
+    gap = lams[alt] - lams[idx]
+    seps = np.hypot(gap.real, gap.imag)
     return idx, margins, seps
 
 

@@ -37,6 +37,9 @@ ELEGANT = "Elegant"
 ASYMPTOTICALLY_ELEGANT = "AsymptoticallyElegant"
 GASYMOV = "Gasymov"
 
+#: Exclusion radii 10^-k of ``integral_inverse_dn``, largest first.
+EXCLUSION_DECADES = range(2, 7)
+
 
 def make_solver(pot: MathieuPotential, n_max: int,
                 t_points: int = 96) -> flq.BandSolver:
@@ -147,14 +150,13 @@ class InverseIntegral:
 
 def integral_inverse_dn(pot: MathieuPotential, n: int,
                         interval: Tuple[float, float],
-                        epsilon_floor: float = 1e-6,
                         solver: Optional[flq.BandSolver] = None
                         ) -> InverseIntegral:
     """Graded quadrature of |d_n(t)|^-1 excluding trouble neighborhoods.
 
     Excluded points (simpleness failures) are located by a coarse scan.
     One pass of Gauss-Kronrod panels graded toward them gives the integral
-    for each exclusion radius 10^-2 .. epsilon_floor as a sum over the
+    for each exclusion radius 10^-2 .. 10^-6 as a sum over the
     panels outside it.  It is flagged divergent when it keeps growing by
     >= 25% per decade without saturating; a Kronrod-Gauss estimate above
     5% of a value raises ``QuadratureError`` with (radius, value,
@@ -183,16 +185,13 @@ def integral_inverse_dn(pot: MathieuPotential, n: int,
             excluded.append(endpoint)
     excluded = sorted(set(excluded))
 
-    ks = [k for k in range(2, 7) if 10.0 ** -k >= epsilon_floor]
-    if not ks or 10.0 ** -ks[-1] > epsilon_floor:
-        ks.append(-int(round(math.log10(epsilon_floor))))
-    ks = sorted(set(ks))
-    epss = [10.0 ** -k for k in ks]
+    epss = [10.0 ** -k for k in EXCLUSION_DECADES]
     # radii four per decade from the smallest exclusion radius up to the
     # base panel width (and at least the largest): every exclusion radius
     # is one of them, so each exclusion boundary is a panel edge
     reach = max(epss[0], (hi - lo) / 8.0)
-    radii = np.array([10.0 ** (q / 4) for q in range(-4 * ks[-1], 1)
+    radii = np.array([10.0 ** (q / 4)
+                      for q in range(-4 * EXCLUSION_DECADES[-1], 1)
                       if 10.0 ** (q / 4) <= reach])
     for _attempt in range(4):
         # eight uniform base panels plus edges p -/+ r toward every
@@ -297,7 +296,7 @@ def detect_singularities(pot: MathieuPotential, window: Tuple[float, float],
             at_pi = cp.family == "antiperiodic"
             sol = endpoint_solution(at_pi)
             i = sol.nearest(cp.lambda_star)
-            cluster = sol.cluster_of(i)
+            cluster = sol.cluster(i)
             if len(cluster) < 2 or \
                     abs(sol.lambdas[i] - cp.lambda_star) > 1e-5 * (
                         1.0 + abs(cp.lambda_star)):

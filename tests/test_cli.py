@@ -109,9 +109,9 @@ class TestCommands:
         assert payload["form"] == "Gasymov"
         assert payload["max_residual"] <= 1e-5
 
-    def test_expand_classifies_once(self, tmp_path, monkeypatch):
-        # the plan and the form guard share one classification: the
-        # Diophantine scan runs once per job
+    def test_expand_runs_no_diophantine_scan(self, tmp_path, monkeypatch):
+        # the plan and the form guard both read the form off the coupling
+        # product (spectrality.expansion_form): no Diophantine scan runs
         import mathieuspec.spectrality as spc
         calls = []
         real = spc.check_diophantine
@@ -124,7 +124,7 @@ class TestCommands:
         rc = main(["expand", "--a", "0.6", "--b", "0+0.6i", "--nmax", "2",
                    "--out", str(tmp_path)])
         assert rc == 0
-        assert len(calls) == 1
+        assert calls == []
         payload = json.loads((tmp_path / "expansion.json").read_text())
         assert payload["form"] == "Elegant"
 

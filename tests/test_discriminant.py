@@ -1,8 +1,10 @@
+import ast
 import cmath
-import importlib
 import json
 import math
+import types
 from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,20 +12,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+import mathieuspec
 from mathieuspec import (MathieuPotential, SimplenessError,
                          StepSizeUnderflowError, assemble, count_roots,
-                         discriminant, discriminant_derivative,
                          dn_via_wronskian, eig, eigenvalues_at,
                          find_critical_points, fundamental_solutions,
                          predict_double)
+import mathieuspec.discriminant as disc
 from mathieuspec.cli import main
-
-# the package exports the function ``discriminant`` under the module's name
-disc = importlib.import_module("mathieuspec.discriminant")
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
 FREE = MathieuPotential(0, 0)
+
+
+def test_package_exposes_its_submodules():
+    # a re-exported function named like its module would shadow the module
+    # as a package attribute, and ``import mathieuspec.x as m`` would then
+    # give back the function
+    tree = ast.parse(Path(mathieuspec.__file__).read_text(encoding="utf-8"))
+    names = {node.module for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert "discriminant" in names
+    assert not [name for name in sorted(names) if not isinstance(
+        getattr(mathieuspec, name), types.ModuleType)]
 
 
 class TestFundamentalSolutions:
@@ -51,7 +63,7 @@ class TestFundamentalSolutions:
         pot = MathieuPotential(1, 1)
         for lam in (100.0, 400.0, 2500.0, 10000.0):
             mu = math.sqrt(lam)
-            gap = abs(discriminant(pot, lam) - 2.0 * math.cos(mu))
+            gap = abs(fundamental_solutions(pot, lam).f - 2.0 * math.cos(mu))
             assert gap <= 10.0 * lam ** -1.5
 
     def test_envelope_guard(self):
@@ -242,16 +254,16 @@ class TestDiscriminantDerivative:
     def test_free_chain_rule(self):
         for lam in (7.0, 80.0, 350.0):
             mu = math.sqrt(lam)
-            fp = discriminant_derivative(FREE, lam)
+            fp = fundamental_solutions(FREE, lam).f_prime
             assert fp == pytest.approx(-math.sin(mu) / mu, abs=1e-11)
 
     def test_finite_difference_oracle(self):
         pot = MathieuPotential(1, 2)
         for lam in (33.0, 151.7):
             h = 1e-5 * (1 + abs(lam))
-            fdiff = (discriminant(pot, lam + h)
-                     - discriminant(pot, lam - h)) / (2 * h)
-            fp = discriminant_derivative(pot, lam)
+            fdiff = (fundamental_solutions(pot, lam + h).f
+                     - fundamental_solutions(pot, lam - h).f) / (2 * h)
+            fp = fundamental_solutions(pot, lam).f_prime
             assert abs(fp - fdiff) <= 1e-6 * abs(fdiff)
 
     def test_cauchy_riemann(self):
@@ -259,10 +271,10 @@ class TestDiscriminantDerivative:
         pot = MathieuPotential(0.7, 1.3j)
         h = 1e-5
         for lam in (20.0 + 1j, 95.0 - 2j):
-            dre = (discriminant(pot, lam + h)
-                   - discriminant(pot, lam - h)) / (2 * h)
-            dim = (discriminant(pot, lam + 1j * h)
-                   - discriminant(pot, lam - 1j * h)) / (2j * h)
+            dre = (fundamental_solutions(pot, lam + h).f
+                   - fundamental_solutions(pot, lam - h).f) / (2 * h)
+            dim = (fundamental_solutions(pot, lam + 1j * h).f
+                   - fundamental_solutions(pot, lam - 1j * h).f) / (2j * h)
             assert abs(dre - dim) <= 1e-6 * (1 + abs(dre))
 
 

@@ -86,7 +86,7 @@ class TestCoefficients:
             sol = solver.solution(t)
             for n in ns:
                 ref = solver.curves.value(n, t)
-                assert sol.is_clustered(sol.nearest(ref))
+                assert len(sol.cluster(sol.nearest(ref))) > 1
                 c, c_adj = _parity_pair(sol.op, n, ref)
                 fhat = f.transform(TWO_PI * c.ks + t)
                 want = (np.vdot(c_adj.coeffs, fhat)

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from mathieuspec import (BandSolver, BlochFunction, MathieuPotential,
                          MultipleEigenvalueError, ValidationError, assemble,
-                         bloch_function, default_grid, discriminant,
-                         dn_profile, eig, free_lambda, make_solver,
+                         bloch_function, default_grid, dn_profile, eig,
+                         free_lambda, fundamental_solutions, make_solver,
                          track_curves)
 from mathieuspec import floquet as flq
-from mathieuspec.floquet import (CLUSTER_RTOL, GM_RTOL, _cluster_indices,
+from mathieuspec.floquet import (CLUSTER_RTOL, GM_RTOL, _component,
                                  _parity_pair, default_m, stable_m)
 
 TWO_PI = 2.0 * math.pi
@@ -82,11 +82,11 @@ class TestEig:
             idx = np.argsort(np.abs(sol.lambdas - lam))[:2]
             assert abs(sol.lambdas[idx[0]] - lam) <= 1e-10 * (1 + lam)
             assert abs(sol.lambdas[idx[1]] - lam) <= 1e-10 * (1 + lam)
-            assert sol.deficiency_flags[idx].all()
+            assert _flags(sol)[idx].all()
 
     def test_free_doubles_not_deficient(self):
         sol = eig(assemble(MathieuPotential(0, 0), 0.0, 12))
-        assert not sol.deficiency_flags.any()
+        assert not _flags(sol).any()
 
     def test_left_vectors_solve_adjoint(self):
         # the self-adjoint input takes the gauge-transformed Hermitian path;
@@ -121,16 +121,16 @@ class TestEig:
                     op = assemble(pot, t, m)
                     assert op.is_hermitian
                     sol = eig(op)
-                    assert not sol.deficiency_flags.any()
+                    assert not _flags(sol).any()
                     a = op.to_dense()
-                    for cl in sol.clusters:
+                    for cl in _clusters(sol):
                         mean = sol.lambdas[cl].mean()
                         sv = np.linalg.svd(a - mean * np.eye(len(a)),
                                            compute_uv=False)
                         spread = np.max(np.abs(sol.lambdas[cl] - mean))
                         tol = spread + GM_RTOL * max(op.scale, 1.0)
                         assert np.sum(sv <= tol) >= len(cl)
-                    clusters += len(sol.clusters)
+                    clusters += len(_clusters(sol))
         assert clusters > 100
 
     def test_unit_norm(self):
@@ -143,7 +143,7 @@ class TestEig:
         pot = MathieuPotential(1, 1)
         sol = eig(assemble(pot, 0.0, 20))
         lam0 = sol.lambdas[np.argmin(sol.lambdas.real)]
-        assert abs(discriminant(pot, lam0) - 2.0) <= 1e-8
+        assert abs(fundamental_solutions(pot, lam0).f - 2.0) <= 1e-8
 
 
 def _union_find_clusters(lams, rtol):
@@ -170,6 +170,76 @@ def _union_find_clusters(lams, rtol):
     return [sorted(g) for g in groups.values()]
 
 
+def _cluster_indices(lams, rtol):
+    """Reference: the eager all-pairs grouping eig ran on every solve
+    before the cluster question went per eigenvalue.  Each group is sorted
+    and listed by its smallest index."""
+    lams = np.asarray(lams)
+    n = len(lams)
+    mag = np.abs(lams)
+    close = (np.abs(lams[:, None] - lams[None, :])
+             < rtol * (1.0 + np.minimum(mag[:, None], mag[None, :])))
+    # min-label propagation: at the fixed point every member carries the
+    # smallest index of its component
+    labels = np.arange(n)
+    while True:
+        new = np.minimum(labels, np.where(close, labels[None, :], n).min(
+            axis=1, initial=n))
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    groups = {}
+    for i, lab in enumerate(labels.tolist()):
+        groups.setdefault(lab, []).append(i)
+    return list(groups.values())
+
+
+def _by_index(groups, n):
+    """Per index, the group that holds it."""
+    of = [None] * n
+    for g in groups:
+        for i in g:
+            of[i] = g
+    return of
+
+
+def _components(lams):
+    """``_component`` asked for every index."""
+    return [_component(lams, i, CLUSTER_RTOL) for i in range(len(lams))]
+
+
+def _clusters(sol):
+    """The clusters of more than one eigenvalue, listed by smallest index,
+    read one eigenvalue at a time through ``cluster``."""
+    found = {}
+    for i in range(len(sol.lambdas)):
+        cl = sol.cluster(i)
+        found.setdefault(cl[0], cl)
+    return [cl for cl in found.values() if len(cl) > 1]
+
+
+def _flags(sol):
+    """``is_deficient`` for every eigenvalue."""
+    return np.array([sol.is_deficient(i) for i in range(len(sol.lambdas))],
+                    dtype=bool)
+
+
+@st.composite
+def _near_duplicate_spectra(draw):
+    """Eigenvalues over six decades, some copied within a few CLUSTER_RTOL
+    of another; a copy of a copy makes a chain."""
+    n = draw(st.integers(1, 30))
+    mags = draw(st.lists(st.floats(-2.0, 4.0), min_size=n, max_size=n))
+    phases = draw(st.lists(st.floats(0.0, TWO_PI), min_size=n, max_size=n))
+    lams = 10.0 ** np.array(mags) * np.exp(1j * np.array(phases))
+    copies = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                       st.floats(-2.0, 2.0), st.floats(0.0, TWO_PI))
+    for dst, src, kick, phase in draw(st.lists(copies, max_size=n)):
+        lams[dst] = lams[src] * (1.0 + CLUSTER_RTOL * kick
+                                 * cmath.exp(1j * phase))
+    return lams
+
+
 class TestClusterIndices:
     def test_random_near_duplicates(self):
         rng = np.random.default_rng(11)
@@ -182,8 +252,16 @@ class TestClusterIndices:
             kick = rng.uniform(-2, 2, k) * np.exp(
                 1j * rng.uniform(0, TWO_PI, k))
             lams[dst] = lams[src] * (1.0 + CLUSTER_RTOL * kick)
-            assert (_cluster_indices(lams, CLUSTER_RTOL)
-                    == _union_find_clusters(lams, CLUSTER_RTOL))
+            want = _union_find_clusters(lams, CLUSTER_RTOL)
+            assert _cluster_indices(lams, CLUSTER_RTOL) == want
+            assert _components(lams) == _by_index(want, n)
+
+    @given(_near_duplicate_spectra())
+    @settings(max_examples=200, deadline=None)
+    def test_component_matches_eager_grouping(self, lams):
+        want = _by_index(_cluster_indices(lams, CLUSTER_RTOL), len(lams))
+        for i in range(len(lams)):
+            assert _component(lams, i, CLUSTER_RTOL) == want[i]
 
     def test_transitive_chains(self):
         # a-b and b-c are linked but |a - c| >= tol: one cluster
@@ -193,32 +271,36 @@ class TestClusterIndices:
             lams = np.array([base + 3.0 * step, base, base + 5.0 * tol,
                              base + step, base + 2.0 * step], dtype=complex)
             assert abs(lams[1] - lams[0]) >= tol
-            got = _cluster_indices(lams, CLUSTER_RTOL)
-            assert got == _union_find_clusters(lams, CLUSTER_RTOL)
-            assert got == [[0, 1, 3, 4], [2]]
+            got = _components(lams)
+            assert got == _by_index(_union_find_clusters(lams, CLUSTER_RTOL),
+                                    len(lams))
+            chain = [0, 1, 3, 4]
+            assert got == [chain, chain, [2], chain, chain]
 
     def test_magnitude_range(self):
         mags = np.logspace(-2, 4, 25)
         lams = np.concatenate([mags, mags * (1.0 + 0.5 * CLUSTER_RTOL),
                                mags * (1.0 + 3.0 * CLUSTER_RTOL) + 1j * mags])
-        got = _cluster_indices(lams, CLUSTER_RTOL)
-        assert got == _union_find_clusters(lams, CLUSTER_RTOL)
-        assert sum(len(g) > 1 for g in got) == len(mags)
+        got = _components(lams)
+        assert got == _by_index(_union_find_clusters(lams, CLUSTER_RTOL),
+                                len(lams))
+        assert len({tuple(g) for g in got if len(g) > 1}) == len(mags)
 
     def test_empty_and_single(self):
-        empty = np.array([], dtype=complex)
-        assert _cluster_indices(empty, CLUSTER_RTOL) == []
-        assert _cluster_indices(np.array([2.0 + 0j]), CLUSTER_RTOL) == [[0]]
+        assert _components(np.array([], dtype=complex)) == []
+        assert _component(np.array([2.0 + 0j]), 0, CLUSTER_RTOL) == [0]
 
 
 def _eager_flags(sol):
-    """Reference: the per-cluster loop eig ran on every solve before the
-    deficiency verdicts went on demand."""
+    """Reference: the eager grouping and per-cluster loop eig ran on every
+    solve before the cluster question went per eigenvalue."""
     op, w = sol.op, sol.lambdas
     dense = op.to_dense()
     flags = np.zeros(len(w), dtype=bool)
     bidiagonal = (op.super == 0) != (op.sub == 0)
-    for cl in sol.clusters:
+    for cl in _cluster_indices(w, CLUSTER_RTOL):
+        if len(cl) < 2:
+            continue
         if bidiagonal:
             flags[cl] = True
             continue
@@ -260,8 +342,8 @@ class TestOnDemandDeficiency:
                     # depend on which member of its cluster asked
                     for i in rng.permutation(len(sol.lambdas))[:10]:
                         assert sol.is_deficient(int(i)) == want[i]
-                    assert np.array_equal(sol.deficiency_flags, want)
-                    if sol.clusters:
+                    assert np.array_equal(_flags(sol), want)
+                    if _clusters(sol):
                         kinds.add(bool(want.any()))
         assert kinds == {True, False}
 
@@ -275,7 +357,7 @@ class TestOnDemandDeficiency:
         assert svd_count == []
         sol = solver.solution(0.0)
         i = sol.nearest(solver.curves.value(2, 0.0))
-        assert sol.is_clustered(i)
+        assert len(sol.cluster(i)) > 1
         # (2, -2) share one cluster at t = 0; it is not deficient, so each
         # band resolves as its member of the two-periodic pair
         for _ in range(3):
@@ -410,15 +492,20 @@ class TestBandEdgeInputs:
 
 def test_eigen_solutions_read_only_in_floquet():
     # every other module gets a band's vectors from BandSolver.band or
-    # bloch_function, and no module branches on a band-status string
+    # bloch_function, no module branches on a band-status string, and the
+    # cluster question is asked per eigenvalue (cluster, is_deficient)
     vectors = re.compile(r"\.(left_)?vectors\b")
     status = re.compile(r"[\"'](simple|clustered|deficient)[\"']")
+    eager = re.compile(r"\.clusters\b|cluster_of\(|is_clustered\(|"
+                       r"deficiency_flags")
     sources = {p.name: p.read_text() for p in
                Path(flq.__file__).parent.glob("*.py")}
     assert {name for name, text in sources.items()
             if vectors.search(text)} == {"floquet.py"}
     assert not [name for name, text in sources.items()
                 if status.search(text)]
+    assert not [name for name, text in sources.items()
+                if eager.search(text)]
 
 
 class TestAdjoint:
@@ -441,7 +528,7 @@ class TestAdjoint:
         lam = (TWO_PI * 2) ** 2
         idx = np.argsort(np.abs(s2.lambdas - lam))[:2]
         assert np.all(np.abs(s2.lambdas[idx] - lam) <= 1e-9 * (1 + lam))
-        assert s2.deficiency_flags[idx].all()
+        assert _flags(s2)[idx].all()
 
 
 class TestTracking:
@@ -572,7 +659,7 @@ def _assert_clustered(pot, t, n, M=None):
     """The band is clustered at t, so bloch_function takes the parity route."""
     M = default_m(abs(n) + 2) if M is None else M
     sol = eig(assemble(pot, t, M))
-    assert sol.is_clustered(sol.nearest(free_lambda(n, t)))
+    assert len(sol.cluster(sol.nearest(free_lambda(n, t)))) > 1
 
 
 class TestTwoPeriodicPair:
@@ -715,7 +802,7 @@ class TestParityPair:
         solver = solvers("asym")
         pot, n = solver.pot, 2
         sol = solver.solution(PI)
-        assert sol.is_clustered(sol.nearest(solver.curves.value(n, PI)))
+        assert len(sol.cluster(sol.nearest(solver.curves.value(n, PI)))) > 1
         lam_ref = solver.curves.value(n, PI)
         at_pi = solver.band(PI, n)
         at_minus = solver.band(-PI, n)

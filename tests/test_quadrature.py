@@ -2,7 +2,6 @@
 node layouts and accumulation that the expansion and the projection-norm
 integrals build on it."""
 
-import importlib
 import math
 from pathlib import Path
 
@@ -14,10 +13,9 @@ from mathieuspec import (ExpansionPlan, MathieuPotential,
                          MultipleEigenvalueError, TestFunction,
                          coefficient_from_vectors, make_plan, make_solver,
                          reconstruct)
+import mathieuspec.discriminant as disc
 from mathieuspec import expansion as exp_mod
 from mathieuspec._quadrature import GK15
-
-disc = importlib.import_module("mathieuspec.discriminant")
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
