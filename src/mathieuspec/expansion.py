@@ -191,9 +191,10 @@ def _passes(plan: ExpansionPlan):
 
     Term-by-term over (-pi, pi] for the plain and grouped forms; the
     endpoint-paired form splits the circle into the two pairing windows
-    around 0 and pi plus the bulk.  Every negative node is the exact
-    negation of a positive one, so the solver reads its eigenpairs off the
-    positive node by reflection.
+    around 0 and pi plus the bulk.  The passes come in mirrored pairs with
+    the same groups: every node of the second is the exact negation of one
+    of the first, so the solver reads its eigenpairs off the positive node
+    by reflection.
     """
     rule = gauss_legendre(plan.gl_points)
     singles = [(n,) for n in range(-plan.n_max, plan.n_max + 1)]
@@ -231,13 +232,19 @@ class ResidualReport:
     mean_residual: float
     per_point: List[dict]
     skipped_nodes: int = 0
+    batch_pairs: int = 0
+    dense_fallbacks: int = 0
+    dense_solves: int = 0
 
     def to_dict(self) -> dict:
         d = {"schema_version": 1, "form": self.form, "n_max": self.n_max,
              "max_residual": self.max_residual,
              "mean_residual": self.mean_residual,
              "per_point": self.per_point,
-             "skipped_nodes": self.skipped_nodes}
+             "skipped_nodes": self.skipped_nodes,
+             "batch_pairs": self.batch_pairs,
+             "dense_fallbacks": self.dense_fallbacks,
+             "dense_solves": self.dense_solves}
         if self.h is not None:
             d["h"] = self.h
         return d
@@ -250,6 +257,9 @@ class _Accumulator:
         self.x = np.asarray(x, dtype=float)
         self.total = np.zeros(len(self.x), dtype=complex)
         self.skipped = 0
+        self.batch_pairs = 0
+        self.dense_fallbacks = 0
+        self.dense_solves = 0
 
     def add(self, nodes, weights, groups):
         """Add every group's terms a_n(t) Psi_{n,t}(x) at each node.
@@ -257,26 +267,25 @@ class _Accumulator:
         A group is one band, or an endpoint pair whose members are summed
         before the pair is weighted: they are only jointly integrable
         through a collision.  A group with an unresolvable member is
-        skipped.  One transform of f and one exp(i x freqs) serve all of a
-        node's bands.
+        skipped.  All pairs come from one ``BandSolver.bands`` call, and
+        one transform of f and one exp(i x freqs) serve all of a node's
+        bands.
         """
         ks = self.solver.ks
         bands = sorted({n for g in groups for n in g})
-        for t, wt in zip(nodes, weights):
+        col = {n: r for r, n in enumerate(bands)}
+        got = self.solver.bands(nodes, bands)
+        self.batch_pairs += int(np.sum(~got.dense))
+        self.dense_fallbacks += int(np.sum(got.dense))
+        self.dense_solves += got.dense_solves
+        for j, (t, wt) in enumerate(zip(nodes, weights)):
             t = float(t)
-            pairs = {}
-            for n in bands:
-                try:
-                    pairs[n] = self.solver.band(t, n)
-                except MultipleEigenvalueError:
-                    pass
-            live = [g for g in groups if all(n in pairs for n in g)]
+            live = [g for g in groups if all(got.ok[j, col[n]] for n in g)]
             self.skipped += len(groups) - len(live)
             if not live:
                 continue
-            cols = [pairs[n] for g in live for n in g]
-            v = np.column_stack([c[0].coeffs for c in cols])
-            w = np.column_stack([c[1].coeffs for c in cols])
+            cols = [col[n] for g in live for n in g]
+            v, w = got.right[j][:, cols], got.left[j][:, cols]
             a = coefficient_from_vectors(self.f, t, ks, v, w)
             psi = np.exp(1j * np.outer(self.x, TWO_PI * ks + t)) @ v
             self.total += wt * (psi @ a)
@@ -301,8 +310,11 @@ def reconstruct(pot: MathieuPotential, f: TestFunction, plan: ExpansionPlan,
     if solver is None:
         solver = spc.make_solver(pot, plan.n_max + 1)
     acc = _Accumulator(f, solver, eval_points)
-    for nodes, weights, groups in _passes(plan):
-        acc.add(nodes, weights, groups)
+    # a window's two mirrored passes go to the solver as one node list, so
+    # each |t| is resolved once; the nodes keep their order
+    passes = _passes(plan)
+    for (n1, w1, groups), (n2, w2, _) in zip(passes[::2], passes[1::2]):
+        acc.add(np.concatenate([n1, n2]), np.concatenate([w1, w2]), groups)
 
     rec = acc.total / TWO_PI
     truth = f(acc.x)
@@ -316,4 +328,7 @@ def reconstruct(pot: MathieuPotential, f: TestFunction, plan: ExpansionPlan,
                           h=plan.h if plan.form == spc.GASYMOV else None,
                           max_residual=float(np.max(resid)),
                           mean_residual=float(np.mean(resid)),
-                          per_point=per_point, skipped_nodes=acc.skipped)
+                          per_point=per_point, skipped_nodes=acc.skipped,
+                          batch_pairs=acc.batch_pairs,
+                          dense_fallbacks=acc.dense_fallbacks,
+                          dense_solves=acc.dense_solves)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -95,10 +96,8 @@ class TruncatedOperator:
         diag, sup, sub = self.diag, self.super, self.sub
         if adjoint:
             diag, sup, sub = np.conj(diag), np.conj(sub), np.conj(sup)
-        out = diag[:, None] * v.astype(complex, copy=False)
-        out[:-1] += sup * v[1:]
-        out[1:] += sub * v[:-1]
-        return out
+        return _product(diag[:, None], sup, sub,
+                        v.astype(complex, copy=False))
 
     @property
     def is_hermitian(self) -> bool:
@@ -110,6 +109,22 @@ class TruncatedOperator:
         return TruncatedOperator(t=-self.t, M=self.M,
                                  diag=self.diag[::-1].copy(),
                                  super=self.super, sub=self.sub)
+
+
+def _product(diag: np.ndarray, sup: complex, sub: complex,
+             v: np.ndarray) -> np.ndarray:
+    """Tridiagonal products column by column: column p of ``v`` times the
+    matrix with diagonal ``diag[:, p]`` (or ``diag``, broadcast) and the
+    constant couplings ``sup`` above and ``sub`` below it."""
+    out = diag * v
+    out[:-1] += sup * v[1:]
+    out[1:] += sub * v[:-1]
+    return out
+
+
+def _certificate(scale):
+    """The residual an eigenpair may have at this matrix scale."""
+    return 1e-8 * np.maximum(scale, 1.0)
 
 
 def assemble(pot: MathieuPotential, t: float, M: int) -> TruncatedOperator:
@@ -150,9 +165,14 @@ class EigenSolution:
     def nearest(self, lam_ref: complex) -> int:
         return int(np.argmin(np.abs(self.lambdas - lam_ref)))
 
+    @cached_property
+    def magnitudes(self) -> np.ndarray:
+        """|lambdas|, computed once for the cluster questions."""
+        return np.abs(self.lambdas)
+
     def cluster(self, i: int) -> List[int]:
         """The sorted indices of eigenvalue i's cluster (i alone if simple)."""
-        return _component(self.lambdas, i, CLUSTER_RTOL)
+        return _component(self.lambdas, i, CLUSTER_RTOL, self.magnitudes)
 
     def is_deficient(self, i: int) -> bool:
         """Whether eigenvalue i sits in a cluster short of eigenvectors."""
@@ -165,12 +185,18 @@ class EigenSolution:
         return self._verdicts[cl[0]]
 
 
-def _component(lams: np.ndarray, i: int, rtol: float) -> List[int]:
+def _linked(la, lb, ma, mb, rtol: float):
+    """The cluster link |l_a - l_b| < rtol*(1 + min(|l_a|, |l_b|))."""
+    return np.abs(la - lb) < rtol * (1.0 + np.minimum(ma, mb))
+
+
+def _component(lams: np.ndarray, i: int, rtol: float,
+               mag: Optional[np.ndarray] = None) -> List[int]:
     """Sorted single-linkage component of the eigenvalues holding index i.
 
-    Two eigenvalues are linked when |l_i - l_j| < rtol*(1 + min(|l_i|, |l_j|)),
-    and links chain transitively; a simple eigenvalue costs one comparison
-    against the rest.
+    Two eigenvalues are linked by ``_linked`` and links chain transitively;
+    a simple eigenvalue costs one comparison against the rest.  ``mag`` is
+    |lams| when the caller has it.
 
     The gap threshold scales with the eigenvalue magnitude, not the matrix
     norm: tridiagonal eigenvalues come out far more accurately than the
@@ -178,10 +204,11 @@ def _component(lams: np.ndarray, i: int, rtol: float) -> List[int]:
     near-endpoint neighborhoods into fake clusters as M grows.
     """
     lams = np.asarray(lams)
-    mag = np.abs(lams)
+    if mag is None:
+        mag = np.abs(lams)
     members = [i]
     for j in members:       # the list grows while it is walked
-        near = np.abs(lams - lams[j]) < rtol * (1.0 + np.minimum(mag, mag[j]))
+        near = _linked(lams, lams[j], mag, mag[j], rtol)
         members += [k for k in np.flatnonzero(near).tolist()
                     if k not in members]
     return sorted(members)
@@ -228,7 +255,7 @@ def eig(op: TruncatedOperator) -> EigenSolution:
     else:
         lres = np.linalg.norm(op.apply(vl, adjoint=True)
                               - vl * np.conj(w)[None, :], axis=0)
-    bad = res > 1e-8 * max(scale, 1.0)
+    bad = res > _certificate(scale)
     if np.any(bad):
         raise MultipleEigenvalueError(
             f"eigensolver residual {res[bad].max():.3e} exceeds certificate "
@@ -416,18 +443,18 @@ class BlochCurveSet:
 
     lambda_n(-t) = lambda_n(t) extends every curve to (-pi, pi]; accessors
     take any quasimomentum in that interval.  ``pair_labels`` records which
-    labels coalesce at the two-periodic endpoints; ``solutions`` holds the
-    eigen-solutions the tracking made, keyed by t.
+    labels coalesce at the two-periodic endpoints.  The tracking solves
+    eigenvalues only; ``residuals``, the certificates of the labelled
+    eigenpairs at the samples, come from one ``BandSolver.bands`` pass on
+    first read.
     """
 
     pot: MathieuPotential
     M: int
     t_samples: np.ndarray
     curves: Dict[int, np.ndarray]
-    residuals: Dict[int, np.ndarray]
     pair_labels: dict
     ambiguities: list = field(default_factory=list)
-    solutions: Dict[float, EigenSolution] = field(default_factory=dict)
 
     @property
     def n_values(self) -> List[int]:
@@ -440,6 +467,12 @@ class BlochCurveSet:
         re = np.interp(tt, self.t_samples, arr.real)
         im = np.interp(tt, self.t_samples, arr.imag)
         return complex(re, im)
+
+    @cached_property
+    def residuals(self) -> Dict[int, np.ndarray]:
+        """Each label's residual certificate at the samples."""
+        got = BandSolver(self.pot, self).bands(self.t_samples, self.n_values)
+        return {n: got.residual[:, r] for r, n in enumerate(self.n_values)}
 
     def rows(self):
         """(n, t, lambda, residual) over the mirrored grid, for export."""
@@ -494,6 +527,26 @@ def _assign(pred: np.ndarray, lams: np.ndarray):
     return idx, margins, seps
 
 
+def _eigenvalues(op: TruncatedOperator) -> np.ndarray:
+    """Every eigenvalue of the truncation, without vectors.
+
+    Hermitian inputs go through the symmetric tridiagonal solver on the
+    gauged matrix (see ``eig``), others through LAPACK's dense QR.  The
+    Hermitian solve keeps its vectors and drops them: MRRR refines the
+    eigenvalues only while it computes vectors, and without them the low
+    bands come out about 1e-12 relative off, for about 15% less time.
+    """
+    try:
+        if op.is_hermitian:
+            off = np.full(op.size - 1, abs(op.super))
+            return sla.eigh_tridiagonal(op.diag, off)[0].astype(complex)
+        return sla.eigvals(op.to_dense())
+    except sla.LinAlgError as exc:
+        raise ConvergenceError(
+            f"eigensolver did not converge at t={op.t!r}, M={op.M}: {exc}"
+        ) from exc
+
+
 def track_curves(pot: MathieuPotential, t_grid: Optional[np.ndarray] = None,
                  n_range=None, M: Optional[int] = None) -> BlochCurveSet:
     """Track continuously numbered eigenvalue curves over [0, pi].
@@ -501,8 +554,9 @@ def track_curves(pot: MathieuPotential, t_grid: Optional[np.ndarray] = None,
     Labels are anchored at t = pi/2 by nearest-unperturbed matching
     (lambda_n ~ (2 pi n + pi/2)^2) and continued stepwise by minimal-sum
     assignment with linear extrapolation.  The grid refines itself where a
-    matching is ambiguous, up to ``REFINE_CAP`` rounds; leftover
-    ambiguities are reported on the result rather than raised.
+    matching is ambiguous (margin below 1e-12 of the matrix scale), up to
+    ``REFINE_CAP`` rounds; leftover ambiguities are reported on the result
+    rather than raised.  Only eigenvalues are solved.
     """
     if n_range is None:
         n_range = range(-3, 4)
@@ -516,11 +570,13 @@ def track_curves(pot: MathieuPotential, t_grid: Optional[np.ndarray] = None,
     if t_grid[0] < 0 or t_grid[-1] > math.pi + 1e-12:
         raise ValidationError("tracking grid must lie in [0, pi]")
 
-    cache: Dict[float, EigenSolution] = {}
+    cache: Dict[float, Tuple[np.ndarray, float]] = {}
 
-    def solve(t: float) -> EigenSolution:
+    def solve(t: float) -> Tuple[np.ndarray, float]:
+        """(eigenvalues, matrix scale) at t."""
         if t not in cache:
-            cache[t] = eig(assemble(pot, t, M))
+            op = assemble(pot, t, M)
+            cache[t] = _eigenvalues(op), op.scale
         return cache[t]
 
     ambiguities: list = []
@@ -529,10 +585,10 @@ def track_curves(pot: MathieuPotential, t_grid: Optional[np.ndarray] = None,
     for _round in range(REFINE_CAP + 1):
         grid = t_grid
         anchor_j = int(np.argmin(np.abs(grid - math.pi / 2)))
-        sol = solve(grid[anchor_j])
+        anchor_lams, _ = solve(grid[anchor_j])
         refs = np.array([free_lambda(n, grid[anchor_j]) for n in labels],
                         dtype=complex)
-        idx, _, _ = _assign(refs, sol.lambdas)
+        idx, _, _ = _assign(refs, anchor_lams)
         assigned = {grid[anchor_j]: idx}
 
         new_points: List[float] = []
@@ -541,22 +597,22 @@ def track_curves(pot: MathieuPotential, t_grid: Optional[np.ndarray] = None,
             prev_idx = idx
             prev_t = grid[anchor_j]
             prev2_vals = None
-            prev_vals = sol.lambdas[prev_idx]
+            prev_vals = anchor_lams[prev_idx]
             for j in js:
                 t = grid[j]
-                s = solve(t)
+                lams, scale = solve(t)
                 dt_prev = abs(t - prev_t)
                 ratio = 1.0 if prev2_vals is None else dt_prev / max(
                     abs(prev_t - prev2_t), 1e-300)
                 pred = _predict(prev_vals, prev2_vals, ratio)
-                aidx, margins, seps = _assign(pred, s.lambdas)
-                tol = np.maximum(s.residuals[aidx], 1e-12 * s.scale)
+                aidx, margins, seps = _assign(pred, lams)
+                tol = 1e-12 * scale
                 bad = (margins < tol) & (seps > 10.0 * tol)
                 if np.any(bad) and dt_prev > 1e-9:
                     new_points.append(0.5 * (t + prev_t))
                 assigned[t] = aidx
                 prev2_t, prev2_vals = prev_t, prev_vals
-                prev_t, prev_vals, prev_idx = t, s.lambdas[aidx], aidx
+                prev_t, prev_vals, prev_idx = t, lams[aidx], aidx
 
         march(range(anchor_j + 1, len(grid)))
         march(range(anchor_j - 1, -1, -1))
@@ -573,13 +629,10 @@ def track_curves(pot: MathieuPotential, t_grid: Optional[np.ndarray] = None,
                                 "note": "matching margin below residual"})
 
     curves = {n: np.empty(len(grid), dtype=complex) for n in labels}
-    residuals = {n: np.empty(len(grid)) for n in labels}
     for j, t in enumerate(grid):
-        s = cache[t]
-        aidx = assigned[t]
+        lams = cache[t][0][assigned[t]]
         for r, n in enumerate(labels):
-            curves[n][j] = s.lambdas[aidx[r]]
-            residuals[n][j] = s.residuals[aidx[r]]
+            curves[n][j] = lams[r]
 
     pair_labels = {"zero": [], "pi": []}
     for n in labels:
@@ -595,8 +648,7 @@ def track_curves(pot: MathieuPotential, t_grid: Optional[np.ndarray] = None,
     pair_labels["rho"] = RHO_PAIRING
 
     return BlochCurveSet(pot=pot, M=M, t_samples=grid, curves=curves,
-                         residuals=residuals, pair_labels=pair_labels,
-                         ambiguities=ambiguities, solutions=cache)
+                         pair_labels=pair_labels, ambiguities=ambiguities)
 
 
 def _c2l(z: complex) -> list:
@@ -630,20 +682,130 @@ def stable_m(pot: MathieuPotential, n_max: int) -> int:
 # Labeled access used by the profile and expansion machinery
 # --------------------------------------------------------------------------
 
+def _tridiagonal_solve(diag: np.ndarray, sup: np.ndarray, sub: np.ndarray,
+                      rhs: np.ndarray) -> np.ndarray:
+    """Solve many tridiagonal systems by Gaussian elimination with pivoting.
+
+    Column p of ``diag`` and ``rhs`` (shape (N, P)) is one system, with the
+    constant couplings ``sup[p]`` above and ``sub[p]`` below the diagonal.
+    Rows are interchanged as LAPACK's ``gttrf`` does (the larger of the
+    pivot and the entry below it leads), which fills in a second
+    superdiagonal; elimination and back substitution run over the rows,
+    each step vectorized over the systems.  ``diag`` is overwritten with
+    the pivots and ``rhs`` with the solution, which is returned.
+    """
+    n = diag.shape[0]
+    p1 = np.empty_like(diag)        # U's first superdiagonal
+    p2 = np.empty_like(diag)        # and the fill-in beyond it
+    swap_lead = np.abs(sub)
+    a0, a1, ar = diag[0].copy(), sup, rhs[0].copy()     # the active row
+    for i in range(n - 1):
+        d1, b1 = diag[i + 1], rhs[i + 1]
+        swap = np.abs(a0) < swap_lead
+        diag[i] = np.where(swap, sub, a0)
+        f = np.where(swap, a0, sub) / diag[i]
+        p1[i] = np.where(swap, d1, a1)
+        p2[i] = np.where(swap, sup, 0.0)
+        rhs[i] = np.where(swap, b1, ar)
+        a0 = np.where(swap, a1, d1) - f * p1[i]
+        a1 = np.where(swap, -f * sup, sup)
+        ar = np.where(swap, ar, b1) - f * rhs[i]
+    rhs[n - 1] = ar / a0
+    rhs[n - 2] = (rhs[n - 2] - p1[n - 2] * rhs[n - 1]) / diag[n - 2]
+    for i in range(n - 3, -1, -1):
+        rhs[i] = (rhs[i] - p1[i] * rhs[i + 1] - p2[i] * rhs[i + 2]) / diag[i]
+    return rhs
+
+
+#: Inverse-iteration sweeps per batch; the shift moves to the two-sided
+#: Rayleigh quotient after every sweep but the last.
+SWEEPS = 3
+
+#: Largest number of (node, label) pairs iterated at once.
+BATCH_PAIRS = 512
+
+
+def _inverse_iteration(pot: MathieuPotential, M: int, ts: np.ndarray,
+                       shifts: np.ndarray, labels: np.ndarray):
+    """Eigenpairs near ``shifts`` of H_t at ``ts`` (>= 0), one pair each.
+
+    Each pair solves (H_t - sigma) x = x_prev and (H_t - sigma)^H y =
+    y_prev, starting from e_n + 1 (n its label, so k = n leads as in the
+    free vector), and takes sigma = <y, H x>/<y, x> between sweeps
+    (Ipsen, SIAM Review 39 (1997)).  Hermitian inputs skip the adjoint
+    solve: y = x.  Returns (lam, x, y, residual, left residual) with the
+    unit vectors as columns; a pair that broke down comes back non-finite.
+    """
+    a, b = complex(pot.a), complex(pot.b)
+    ks = np.arange(-M, M + 1)
+    diag = (TWO_PI * ks[:, None] + ts[None, :]) ** 2
+    npairs = len(ts)
+    hermitian = b == np.conj(a)
+    sides = 1 if hermitian else 2
+    sup = np.repeat([a, np.conj(b)][:sides], npairs)
+    sub = np.repeat([b, np.conj(a)][:sides], npairs)
+    v = np.ones((len(ks), sides * npairs), dtype=complex)
+    lead = np.clip(labels, -M, M) + M
+    v[np.tile(lead, sides), np.arange(sides * npairs)] += len(ks)
+    big = np.tile(diag, sides)
+    sigma = shifts.astype(complex)
+    with np.errstate(all="ignore"):
+        for _ in range(SWEEPS):
+            shift = np.concatenate([sigma, np.conj(sigma)][:sides])
+            v = _tridiagonal_solve(big - shift, sup, sub, v)
+            v /= np.linalg.norm(v, axis=0)
+            x, y = v[:, :npairs], v[:, -npairs:]
+            ax = _product(diag, a, b, x)
+            sigma = (np.sum(np.conj(y) * ax, axis=0)
+                     / np.sum(np.conj(y) * x, axis=0))
+        res = np.linalg.norm(ax - sigma * x, axis=0)
+        lres = res if hermitian else np.linalg.norm(
+            _product(diag, np.conj(b), np.conj(a), y)
+            - np.conj(sigma) * y, axis=0)
+    return sigma, x, y, res, lres
+
+
+@dataclass
+class BandBatch:
+    """Labelled Bloch pairs at a list of nodes, from ``BandSolver.bands``.
+
+    Arrays are indexed [node, label] (vectors [node, :, label], on the
+    solver's Fourier window): ``lam``; the unit right eigenvector ``right``
+    and its adjoint partner ``left`` (for conj(lam)); their residual
+    certificates.  ``ok`` is False where the band raised
+    MultipleEigenvalueError on the dense route; such a pair keeps the
+    eigenvalue nearest its curve and that eigenpair's residuals, and zero
+    vectors.  ``dense`` marks the pairs the dense route resolved, and
+    ``dense_solves`` counts the dense eigensolves that took.
+    """
+
+    t: np.ndarray
+    lam: np.ndarray
+    right: np.ndarray
+    left: np.ndarray
+    residual: np.ndarray
+    left_residual: np.ndarray
+    ok: np.ndarray
+    dense: np.ndarray
+    dense_solves: int
+
+
 class BandSolver:
     """Labelled Bloch pairs along a set of tracked curves.
 
-    Resolves (n, t) -> (Psi, adjoint partner) for any t in (-pi, pi],
-    reusing one matrix factorization per distinct |t| and the tracked
-    curves as labelling references.  The cache starts as the tracking's
-    own solutions.
+    ``bands`` resolves every (node, band) pair of a node list in one
+    inverse-iteration batch, with the tracked curves as shifts, and sends
+    only the pairs it cannot certify to the dense route, one solve per
+    node; ``band`` resolves one pair on the dense route.  Both take any t
+    in (-pi, pi].  The cache holds the solutions ``band`` made, at t >= 0
+    only; ``bands`` reads it but keeps its own solves only while it runs.
     """
 
     def __init__(self, pot: MathieuPotential, curves: BlochCurveSet):
         self.pot = pot
         self.curves = curves
         self.M = curves.M
-        self._cache = curves.solutions
+        self._cache: Dict[float, EigenSolution] = {}
 
     def solution(self, t: float) -> EigenSolution:
         """The solution at t >= 0, solved on first request."""
@@ -678,6 +840,124 @@ class BandSolver:
         return bloch_function(self.pot, t, n, M=self.M,
                               lambda_ref=self.curves.value(n, t),
                               solution=self.solution(t))
+
+    def bands(self, ts, labels) -> BandBatch:
+        """Every (t, n) pair of ``ts`` x ``labels``, as ``band`` gives it.
+
+        Each distinct |t| is resolved once and a negative t is reflected
+        as in ``band``; -pi is read as pi.  The pairs go through
+        ``_inverse_iteration`` in chunks of at most about ``BATCH_PAIRS``,
+        with each band's endpoint partners (-n and -n-1) among the labels
+        and the curve values as shifts (the free values for a partner the
+        curves do not track).  A labelled pair is accepted when it is
+        finite and certified on both sides (``_certificate``, as ``eig``),
+        its eigenvalue is nearer its own shift than any other label's and
+        the nearest of the batch to its shift, and no other label's
+        eigenvalue is linked to it (``_linked`` at ``CLUSTER_RTOL``, which
+        also keeps the labels' eigenvalues distinct).  Every other pair,
+        and every pair of a potential with ab = 0 (whose bidiagonal
+        eigenvalues sit on exact zero pivots), takes the dense route of
+        ``band``.
+        """
+        ts = np.asarray(ts, dtype=float)
+        ts = np.where(ts == -math.pi, math.pi, ts)
+        labels = [int(n) for n in labels]
+        nodes, back = np.unique(np.abs(ts), return_inverse=True)
+        size, nl = 2 * self.M + 1, len(labels)
+        lam = np.zeros((len(nodes), nl), dtype=complex)
+        right = np.zeros((len(nodes), size, nl), dtype=complex)
+        left = np.zeros_like(right)
+        res = np.zeros((len(nodes), nl))
+        lres = np.zeros_like(res)
+        ok = np.ones((len(nodes), nl), dtype=bool)
+        dense = np.ones_like(ok)
+        if self.pot.ab != 0 and nl:
+            every = sorted(set(labels) | {-n for n in labels}
+                           | {-n - 1 for n in labels})
+            cols = [every.index(n) for n in labels]
+            step = max(1, BATCH_PAIRS // len(every))
+            for lo in range(0, len(nodes), step):
+                part = slice(lo, lo + step)
+                got = self._batch(nodes[part], every)
+                lam[part], rr, ll, res[part], lres[part], acc = (
+                    g[..., cols] for g in got)
+                right[part], left[part] = rr, ll
+                dense[part] = ~acc
+        solves = 0
+        for j in np.flatnonzero(dense.any(axis=1)):
+            t = float(nodes[j])
+            sol = self._cache.get(t)
+            try:
+                if sol is None:
+                    solves += 1
+                    sol = eig(assemble(self.pot, t, self.M))
+            except MultipleEigenvalueError:
+                lam[j, dense[j]] = res[j, dense[j]] = lres[j, dense[j]] = np.nan
+                ok[j, dense[j]] = False
+                continue
+            for r in np.flatnonzero(dense[j]):
+                ref = self.curves.value(labels[r], t)
+                try:
+                    primal, partner = bloch_function(
+                        self.pot, t, labels[r], M=self.M, lambda_ref=ref,
+                        solution=sol)
+                except MultipleEigenvalueError:
+                    i = sol.nearest(ref)
+                    lam[j, r], res[j, r], lres[j, r] = (
+                        sol.lambdas[i], sol.residuals[i],
+                        sol.left_residuals[i])
+                    right[j, :, r] = left[j, :, r] = 0.0
+                    ok[j, r] = False
+                    continue
+                lam[j, r], res[j, r], lres[j, r] = (
+                    primal.lam, primal.residual, partner.residual)
+                right[j, :, r], left[j, :, r] = primal.coeffs, partner.coeffs
+        if not np.array_equal(nodes, ts):
+            # back to the requested nodes; t < 0 by the reflection of ``band``
+            neg = ts < 0
+            lam, ok, dense = lam[back], ok[back], dense[back]
+            right, left = right[back], left[back]
+            right[neg], left[neg] = (np.conj(left[neg, ::-1]),
+                                     np.conj(right[neg, ::-1]))
+            res, lres = res[back], lres[back]
+            res[neg], lres[neg] = lres[neg], res[neg]
+        return BandBatch(t=ts, lam=lam, right=right, left=left,
+                         residual=res, left_residual=lres, ok=ok, dense=dense,
+                         dense_solves=solves)
+
+    def _batch(self, nodes: np.ndarray, every: List[int]):
+        """(lam, right, left, res, lres, accepted) of ``every`` label at
+        each node t >= 0 from one inverse-iteration batch."""
+        tracked = self.curves.curves
+        grid = self.curves.t_samples
+        shifts = np.stack([
+            np.interp(nodes, grid, tracked[n].real)
+            + 1j * np.interp(nodes, grid, tracked[n].imag) if n in tracked
+            else (TWO_PI * n + nodes) ** 2 for n in every], axis=1)
+        nn, nl = shifts.shape
+        lam, x, y, res, lres = _inverse_iteration(
+            self.pot, self.M, np.repeat(nodes, nl), shifts.ravel(),
+            np.tile(every, nn))
+        lam, res, lres = (g.reshape(nn, nl) for g in (lam, res, lres))
+        right = x.T.reshape(nn, nl, -1).transpose(0, 2, 1)
+        left = y.T.reshape(nn, nl, -1).transpose(0, 2, 1)
+        cert = _certificate(np.array(
+            [assemble(self.pot, t, self.M).scale for t in nodes]))[:, None]
+        off = ~np.eye(nl, dtype=bool)
+        with np.errstate(invalid="ignore"):
+            # dist[j, r, q] = |lam_r - shift_q| at node j
+            dist = np.abs(lam[:, :, None] - shifts[:, None, :])
+            own = np.diagonal(dist, axis1=1, axis2=2)
+            mag = np.abs(lam)
+            links = _linked(lam[:, :, None], lam[:, None, :],
+                            mag[:, :, None], mag[:, None, :], CLUSTER_RTOL)
+            accepted = ((res <= cert) & (lres <= cert)
+                        & np.isfinite(lam)
+                        & (own < np.where(off, dist, np.inf).min(axis=2))
+                        & (own < np.where(off, dist.transpose(0, 2, 1),
+                                          np.inf).min(axis=2))
+                        & ~np.any(links & off, axis=2))
+        return lam, right, left, res, lres, accepted
 
     @property
     def ks(self) -> np.ndarray:

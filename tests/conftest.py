@@ -18,7 +18,17 @@ POTS = {
     "bench-un": MathieuPotential(0.8376456348484289 + 0.14651318151296733j,
                                  -2.9177297344498583 - 0.7129705044539645j),
     "bench-os": MathieuPotential(0j, 0.1984015861053919 - 0.8056621698921916j),
+    # two more two-sided stress cases for the batched inverse iteration
+    # (BandSolver.bands): |ab| = 3.2 above the simple bound, and a = -b
+    "large-ab": MathieuPotential(2, 1.6j),
+    "opposite": MathieuPotential(1.5, -1.5),
 }
+
+
+@pytest.fixture(scope="session")
+def pots():
+    """The named potentials above."""
+    return POTS
 
 
 @pytest.fixture(scope="session")

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.integrate import quad
 
 from mathieuspec import (ExpansionPlan, FormMismatchError, MathieuPotential,
                          SimplenessError, TestFunction, ValidationError,
                          bloch_coefficient, coefficient_from_vectors,
-                         make_plan, reconstruct)
+                         make_plan, make_solver, reconstruct)
+from mathieuspec import floquet as flq
 from mathieuspec.floquet import _parity_pair
 
 TWO_PI = 2.0 * math.pi
@@ -219,3 +221,49 @@ class TestReconstruction:
         assert d["form"] == "Elegant"
         assert len(d["per_point"]) == 2
         assert "h" not in d
+
+    def test_report_counts_the_dense_route(self):
+        # ab = 0: every pair takes the dense route, one solve per |t|
+        pot = MathieuPotential(0, 0)
+        plan = ExpansionPlan(form="Elegant", n_max=4, allow_mismatch=True)
+        rep = reconstruct(pot, TestFunction("gaussian"), plan, [0.0],
+                          solver=make_solver(pot, 5))
+        d = rep.to_dict()
+        assert d["batch_pairs"] == 0
+        assert d["dense_fallbacks"] == (2 * 192) * 9
+        assert d["dense_solves"] == 192
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Counts dense eigensolves: the package's ``eig`` and LAPACK's."""
+    calls = []
+    for owner, name in ((flq, "eig"), (sla, "eig")):
+        real = getattr(owner, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestFastPath:
+    """Counts, not timings: the batch keeps dense solves off the path."""
+
+    @pytest.mark.parametrize("name", ["bench-eq", "bench-un"])
+    def test_reconstruct_solves_only_rejected_nodes(self, pots, name,
+                                                    eig_calls):
+        pot = pots[name]
+        plan = make_plan(pot, 4)
+        solver = make_solver(pot, plan.n_max + 1)
+        # the tracking solves eigenvalues only
+        assert eig_calls == []
+        rep = reconstruct(pot, TestFunction("gaussian"), plan,
+                          np.linspace(-2.0, 2.0, 9), solver=solver)
+        # one package and one LAPACK call per node the batch rejected
+        assert len(eig_calls) == 2 * rep.dense_solves
+        assert rep.dense_solves == rep.dense_fallbacks == 0
+        assert rep.batch_pairs == (2 * 192) * 9
+        assert rep.skipped_nodes == 0

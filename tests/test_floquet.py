@@ -843,3 +843,97 @@ class TestParityPair:
         assert calls == [(0.0, 4), (PI, 4)]
         assert not prof.excluded
         assert [t for t, _ in prof.by_method("eigenvector")] == [0.0, PI]
+
+
+# --------------------------------------------------------------------------
+# Batched labelled pairs (BandSolver.bands) against the dense route
+# --------------------------------------------------------------------------
+
+def _phase_aligned_gap(x, want):
+    """||x e^{i phi} - want|| with phi aligning x to want."""
+    ph = np.vdot(x, want)
+    return np.linalg.norm(x * (ph / abs(ph)) - want)
+
+
+class TestBatchedBands:
+    @pytest.mark.parametrize("name", ["bench-sa", "bench-eq", "bench-un",
+                                      "bench-os", "large-ab", "opposite"])
+    def test_matches_dense_band_at_expand_nodes(self, pots, name):
+        from mathieuspec.expansion import _passes, make_plan
+        pot = pots[name]
+        plan = make_plan(pot, 4)
+        solver = make_solver(pot, plan.n_max + 1)
+        nodes = np.concatenate([p[0] for p in _passes(plan)])
+        labels = list(range(-4, 5))
+        got = solver.bands(nodes, labels)
+        assert got.lam.shape == (len(nodes), len(labels))
+        if name == "bench-os":
+            assert got.dense.all()
+        for j, t in enumerate(nodes):
+            scale = assemble(pot, abs(t), solver.M).scale
+            for r, n in enumerate(labels):
+                dense = _band_or_none(solver.band, float(t), n)
+                # the same clustered / skipped verdict
+                assert (dense is None) == (not got.ok[j, r])
+                if dense is None:
+                    continue
+                primal, partner = dense
+                assert abs(got.lam[j, r] - primal.lam) <= 1e-12 * scale
+                if got.dense[j, r]:
+                    assert np.array_equal(got.right[j, :, r], primal.coeffs)
+                    continue
+                assert _phase_aligned_gap(got.right[j, :, r],
+                                          primal.coeffs) <= 1e-10
+                assert _phase_aligned_gap(got.left[j, :, r],
+                                          partner.coeffs) <= 1e-10
+
+    @given(st.one_of(
+        st.tuples(st.floats(-6.0, 6.0), st.floats(0.2, 2.0),
+                  st.floats(0.0, TWO_PI), st.floats(0.0, TWO_PI)),
+        st.sampled_from(["left", "right", "free"])),
+        st.one_of(st.sampled_from(EDGE_TS),
+                  st.floats(-PI, PI, exclude_min=True)))
+    @settings(max_examples=40, deadline=None)
+    def test_certified_or_dense_refusal(self, amps, t):
+        # log10 |a/b|, sqrt|ab| and the phases; or one-sided and free
+        if amps == "free":
+            pot = MathieuPotential(0, 0)
+        elif isinstance(amps, str):
+            z = 0.7 - 0.4j
+            pot = MathieuPotential(z, 0) if amps == "left" else \
+                MathieuPotential(0, z)
+        else:
+            q, rho, phi, psi = amps
+            pot = MathieuPotential(rho * 10 ** (q / 2) * cmath.exp(1j * phi),
+                                   rho * 10 ** (-q / 2) * cmath.exp(1j * psi))
+        solver = BandSolver(pot, track_curves(
+            pot, t_grid=default_grid(16), n_range=range(-3, 4), M=12))
+        labels = list(range(-3, 4))
+        got = solver.bands([t, -t], labels)
+        assert got.dense_solves <= 1      # t and -t share one node
+        for j, tj in enumerate(got.t):
+            op = assemble(pot, tj, solver.M)
+            cert = 1e-8 * max(op.scale, 1.0)
+            live = []
+            for r, n in enumerate(labels):
+                if not got.ok[j, r]:
+                    # only the dense route refuses, and it refuses here too
+                    assert got.dense[j, r]
+                    with pytest.raises(MultipleEigenvalueError):
+                        solver.band(tj, n)
+                    continue
+                x, y, lam = (got.right[j, :, r], got.left[j, :, r],
+                             got.lam[j, r])
+                assert np.isfinite(lam)
+                assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+                res = np.linalg.norm(op.apply(x[:, None])[:, 0] - lam * x)
+                lres = np.linalg.norm(op.apply(y[:, None], adjoint=True)[:, 0]
+                                      - np.conj(lam) * y)
+                assert res <= cert and lres <= cert
+                live.append((x, y))
+            # no two labels share one eigenpair: a left vector pairs with
+            # its own right vector, and is (bi)orthogonal to the others'
+            for i, (xi, yi) in enumerate(live):
+                for xk, yk in live[i + 1:]:
+                    assert abs(np.vdot(yk, xi)) < 0.5 * abs(np.vdot(yi, xi))
+                    assert abs(np.vdot(yi, xk)) < 0.5 * abs(np.vdot(yk, xk))
