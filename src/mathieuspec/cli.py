@@ -213,11 +213,14 @@ def _cmd_spectrum(cfg: JobConfig, out: Path) -> dict:
                                _fmt(lam.imag), _fmt(res)]))
     (out / "curves.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     solver = flq.BandSolver(pot, curves)
-    for n in curves.n_values:
-        bf, _ = solver.band(math.pi / 2, n)
+    anchor = solver.bands([math.pi / 2], curves.n_values)
+    for r, n in enumerate(curves.n_values):
+        if not anchor.ok[0, r]:
+            raise MultipleEigenvalueError(
+                f"band {n} at t=pi/2 is not resolvably simple")
         rows = ["k,re_c,im_c"]
         rows.extend(",".join([str(int(k)), _fmt(c.real), _fmt(c.imag)])
-                    for k, c in zip(bf.ks, bf.coeffs))
+                    for k, c in zip(solver.ks, anchor.right[0, :, r]))
         (out / f"eigenfunction_n{n}.csv").write_text(
             "\n".join(rows) + "\n", encoding="utf-8")
     _write_json(out / "pairing.json", {"pair_labels": curves.pair_labels,
@@ -343,19 +346,22 @@ def _cmd_verify(cfg: JobConfig, out: Path) -> dict:
 
     solver = spc.make_solver(pot, 3, cfg.t_points)
     t_s = 0.83
-    got_p = spc._dn_eigenvector(solver, 2, t_s)
+    d, lam, _ = spc._projection_norms(solver, [t_s], [2])
+    d_p, lam_p = float(d[0, 0]), complex(lam[0, 0])
+    if math.isnan(d_p):
+        raise MultipleEigenvalueError(
+            f"band 2 at t={t_s!r} is not resolvably simple")
     # the solver reflects -t from t; solve -t directly to test the operator
     try:
         direct = flq.bloch_function(pot, -t_s, 2, M=solver.M,
                                     lambda_ref=solver.curves.value(2, -t_s))
     except MultipleEigenvalueError:
         direct = None
-    if got_p and direct:
+    if direct:
         d_m = abs(np.vdot(direct[1].coeffs, direct[0].coeffs))
-        check("dn-symmetry", abs(got_p[0] - d_m) <= 1e-8,
-              f"|d(t)-d(-t)|={abs(got_p[0] - d_m):.3e}")
-    lam = solver.band(t_s, 2)[0].lam
-    res = abs(fundamental_solutions(pot, lam).f - 2.0 * math.cos(t_s))
+        check("dn-symmetry", abs(d_p - d_m) <= 1e-8,
+              f"|d(t)-d(-t)|={abs(d_p - d_m):.3e}")
+    res = abs(fundamental_solutions(pot, lam_p).f - 2.0 * math.cos(t_s))
     check("oracle-equivalence", res <= 1e-7, f"|F-2cos t|={res:.3e}")
 
     for row in checks:

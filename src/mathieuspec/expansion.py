@@ -21,8 +21,7 @@ import numpy as np
 from . import floquet as flq
 from . import spectrality as spc
 from ._quadrature import composite, gauss_legendre
-from .errors import (FormMismatchError, MultipleEigenvalueError,
-                     SimplenessError, ValidationError)
+from .errors import FormMismatchError, SimplenessError, ValidationError
 from .potential import MathieuPotential, T_VALID
 
 TWO_PI = 2.0 * math.pi
@@ -131,12 +130,11 @@ def bloch_coefficient(pot: MathieuPotential, f: TestFunction, n: int, t: float,
     """Expansion coefficient a_n(t) of f along band n."""
     if solver is None:
         solver = spc.make_solver(pot, abs(n) + 1)
-    try:
-        primal, partner = solver.band(t, n)
-    except MultipleEigenvalueError as exc:
-        raise SimplenessError(f"band {n} at t={t!r}: {exc}") from exc
-    return coefficient_from_vectors(f, primal.t, primal.ks, primal.coeffs,
-                                    partner.coeffs)
+    got = solver.bands([t], [n])
+    if not got.ok[0, 0]:
+        raise SimplenessError(f"band {n} at t={t!r} is not resolvably simple")
+    return coefficient_from_vectors(f, float(got.t[0]), solver.ks,
+                                    got.right[0, :, 0], got.left[0, :, 0])
 
 
 # --------------------------------------------------------------------------

@@ -772,10 +772,10 @@ class BandBatch:
     Arrays are indexed [node, label] (vectors [node, :, label], on the
     solver's Fourier window): ``lam``; the unit right eigenvector ``right``
     and its adjoint partner ``left`` (for conj(lam)); their residual
-    certificates.  ``ok`` is False where the band raised
-    MultipleEigenvalueError on the dense route; such a pair keeps the
-    eigenvalue nearest its curve and that eigenpair's residuals, and zero
-    vectors.  ``dense`` marks the pairs the dense route resolved, and
+    certificates.  ``ok`` is False where the dense route refused the pair
+    (``bloch_function`` raised MultipleEigenvalueError); such a pair keeps
+    the eigenvalue nearest its curve and that eigenpair's residuals, and
+    zero vectors.  ``dense`` marks the pairs the dense route resolved, and
     ``dense_solves`` counts the dense eigensolves that took.
     """
 
@@ -793,71 +793,46 @@ class BandBatch:
 class BandSolver:
     """Labelled Bloch pairs along a set of tracked curves.
 
-    ``bands`` resolves every (node, band) pair of a node list in one
-    inverse-iteration batch, with the tracked curves as shifts, and sends
-    only the pairs it cannot certify to the dense route, one solve per
-    node; ``band`` resolves one pair on the dense route.  Both take any t
-    in (-pi, pi].  The cache holds the solutions ``band`` made, at t >= 0
-    only; ``bands`` reads it but keeps its own solves only while it runs.
+    ``bands`` is the one entry: it resolves every (node, band) pair of a
+    node list in one inverse-iteration batch, with the tracked curves as
+    shifts, and sends only the pairs it cannot certify to the dense route,
+    one ``solution`` per node.  It takes any t in (-pi, pi] and keeps
+    nothing once it returns.
     """
 
     def __init__(self, pot: MathieuPotential, curves: BlochCurveSet):
         self.pot = pot
         self.curves = curves
         self.M = curves.M
-        self._cache: Dict[float, EigenSolution] = {}
 
     def solution(self, t: float) -> EigenSolution:
-        """The solution at t >= 0, solved on first request."""
-        t = float(t)
-        if t not in self._cache:
-            self._cache[t] = eig(assemble(self.pot, t, self.M))
-        return self._cache[t]
-
-    def band(self, t: float, n: int) -> Tuple[BlochFunction, BlochFunction]:
-        """(primal, partner) of band n at t; -pi is read as pi.
-
-        t >= 0 goes through ``bloch_function`` on ``solution(t)`` with the
-        curve value as reference.  A negative t is resolved at -t and
-        reflected: with P the reversal k -> -k, H_{-t} = P H_t^T P entry
-        for entry, truncation included.  So if A v = lam v and
-        A^H w = conj(lam) w at t, then P conj(w) is a right and P conj(v)
-        a left eigenvector of H_{-t} for the same lam, and the two
-        residuals trade places.  Raises MultipleEigenvalueError where
-        ``bloch_function`` does.
-        """
-        t = float(t)
-        if t == -math.pi:
-            t = math.pi
-        elif t < 0:
-            primal, partner = self.band(-t, n)
-            return (BlochFunction(n, t, partner.ks,
-                                  np.conj(partner.coeffs[::-1]), primal.lam,
-                                  partner.residual),
-                    BlochFunction(n, t, primal.ks,
-                                  np.conj(primal.coeffs[::-1]), partner.lam,
-                                  primal.residual))
-        return bloch_function(self.pot, t, n, M=self.M,
-                              lambda_ref=self.curves.value(n, t),
-                              solution=self.solution(t))
+        """The dense eigensolve at t, not kept."""
+        return eig(assemble(self.pot, float(t), self.M))
 
     def bands(self, ts, labels) -> BandBatch:
-        """Every (t, n) pair of ``ts`` x ``labels``, as ``band`` gives it.
+        """Every (t, n) pair of ``ts`` x ``labels``.
 
-        Each distinct |t| is resolved once and a negative t is reflected
-        as in ``band``; -pi is read as pi.  The pairs go through
-        ``_inverse_iteration`` in chunks of at most about ``BATCH_PAIRS``,
-        with each band's endpoint partners (-n and -n-1) among the labels
-        and the curve values as shifts (the free values for a partner the
-        curves do not track).  A labelled pair is accepted when it is
-        finite and certified on both sides (``_certificate``, as ``eig``),
-        its eigenvalue is nearer its own shift than any other label's and
-        the nearest of the batch to its shift, and no other label's
-        eigenvalue is linked to it (``_linked`` at ``CLUSTER_RTOL``, which
-        also keeps the labels' eigenvalues distinct).  Every other pair,
-        and every pair of a potential with ab = 0 (whose bidiagonal
-        eigenvalues sit on exact zero pivots), takes the dense route of
-        ``band``.
+        Each distinct |t| is resolved once; -pi is read as pi.  A negative
+        t is reflected from -t: with P the reversal k -> -k,
+        H_{-t} = P H_t^T P entry for entry, truncation included, so if
+        A v = lam v and A^H w = conj(lam) w at t, then P conj(w) is a right
+        and P conj(v) a left eigenvector of H_{-t} for the same lam, and
+        the two residuals trade places.
+
+        The pairs go through ``_inverse_iteration`` in chunks of at most
+        about ``BATCH_PAIRS``, with each band's endpoint partners (-n and
+        -n-1) among the labels and the curve values as shifts (the free
+        values for a partner the curves do not track).  A labelled pair is
+        accepted when it is finite and certified on both sides
+        (``_certificate``, as ``eig``), its eigenvalue is nearer its own
+        shift than any other label's and the nearest of the batch to its
+        shift, and no other label's eigenvalue is linked to it (``_linked``
+        at ``CLUSTER_RTOL``, which also keeps the labels' eigenvalues
+        distinct).  Every other pair, and every pair of a potential with
+        ab = 0 (whose bidiagonal eigenvalues sit on exact zero pivots),
+        takes the dense route: ``bloch_function`` on ``solution(t)`` with
+        the curve value as reference, which refuses a deficient or
+        unresolvable cluster.
         """
         ts = np.asarray(ts, dtype=float)
         ts = np.where(ts == -math.pi, math.pi, ts)
@@ -886,11 +861,9 @@ class BandSolver:
         solves = 0
         for j in np.flatnonzero(dense.any(axis=1)):
             t = float(nodes[j])
-            sol = self._cache.get(t)
+            solves += 1
             try:
-                if sol is None:
-                    solves += 1
-                    sol = eig(assemble(self.pot, t, self.M))
+                sol = self.solution(t)
             except MultipleEigenvalueError:
                 lam[j, dense[j]] = res[j, dense[j]] = lres[j, dense[j]] = np.nan
                 ok[j, dense[j]] = False
@@ -913,7 +886,7 @@ class BandSolver:
                     primal.lam, primal.residual, partner.residual)
                 right[j, :, r], left[j, :, r] = primal.coeffs, partner.coeffs
         if not np.array_equal(nodes, ts):
-            # back to the requested nodes; t < 0 by the reflection of ``band``
+            # back to the requested nodes, reflecting t < 0
             neg = ts < 0
             lam, ok, dense = lam[back], ok[back], dense[back]
             right, left = right[back], left[back]

@@ -94,18 +94,6 @@ class LogComplex:
         return LogComplex(self.log_magnitude - other.log_magnitude,
                           self.phase - other.phase)
 
-    def scaled(self, factor: complex) -> "LogComplex":
-        return self * LogComplex.from_complex(factor)
-
-    def sqrt_abs(self) -> "LogComplex":
-        """|z|^(1/2) as a LogComplex with zero phase."""
-        if self.is_zero:
-            return LogComplex.zero()
-        return LogComplex(0.5 * self.log_magnitude, 0.0)
-
-    def abs(self) -> "LogComplex":
-        return LogComplex(self.log_magnitude, 0.0)
-
 
 @dataclass(frozen=True)
 class MathieuPotential:

@@ -43,7 +43,7 @@ EXCLUSION_DECADES = range(2, 7)
 
 def make_solver(pot: MathieuPotential, n_max: int,
                 t_points: int = 96) -> flq.BandSolver:
-    """Tracked curves + labeled eigen-solve cache for bands |n| <= n_max+1."""
+    """A BandSolver on tracked curves for bands |n| <= n_max+1."""
     curves = flq.track_curves(
         pot, t_grid=flq.default_grid(t_points),
         n_range=range(-(n_max + 1), n_max + 2))
@@ -73,18 +73,28 @@ class ProjectionProfile:
         return [(t, d) for (t, d, m) in self.samples if m == method]
 
 
-def _dn_eigenvector(solver: flq.BandSolver, n: int, t: float):
-    """(|d|, lam, diag) via coefficient inner products; None when excluded.
+def _projection_norms(solver: flq.BandSolver, ts, ns):
+    """(|d|, lam, gap) of every (t, n) of ``ts`` x ``ns``, from one
+    ``BandSolver.bands`` call; arrays are indexed [node, band].
 
-    diag carries the two-term truncation gap |<c,c*> - (u u* + v v*)|.
+    |d| is the coefficient inner product <c, c*>, NaN where the band is not
+    resolvably simple.  gap is the two-term truncation gap
+    |<c, c*> - (u u* + v v*)|, u and v the coefficients at k = n and at its
+    mirror (-n for |t| <= pi/2, -n-1 beyond).
     """
-    try:
-        primal, partner = solver.band(t, n)
-    except MultipleEigenvalueError:
-        return None
-    d = np.vdot(partner.coeffs, primal.coeffs)
-    uu = primal.u * np.conj(partner.u) + primal.v * np.conj(partner.v)
-    return abs(d), primal.lam, abs(d - uu)
+    got = solver.bands(ts, ns)
+    c, cs = got.right, got.left
+    d = np.einsum("jkr,jkr->jr", np.conj(cs), c)
+    ns = np.asarray(ns, dtype=int)
+    mirror = np.where(np.abs(got.t)[:, None] <= math.pi / 2, -ns, -ns - 1)
+    uu = np.zeros_like(d)
+    for k in (np.broadcast_to(ns, mirror.shape), mirror):
+        i = (np.clip(k, -solver.M, solver.M) + solver.M)[:, None, :]
+        prod = (np.take_along_axis(c, i, axis=1)
+                * np.conj(np.take_along_axis(cs, i, axis=1)))[:, 0]
+        uu += np.where(np.abs(k) <= solver.M, prod, 0.0)
+    return (np.where(got.ok, np.abs(d), np.nan), got.lam,
+            np.abs(d - uu))
 
 
 def dn_profile(pot: MathieuPotential, n: int, t_grid,
@@ -92,36 +102,32 @@ def dn_profile(pot: MathieuPotential, n: int, t_grid,
                wronskian_fraction: float = 0.12) -> ProjectionProfile:
     """|d_n(t)| along the grid with the ODE formula as a cross-check.
 
-    Every grid point gets the eigenvector value; at least
-    ``wronskian_fraction`` of the valid points also get the closed-formula
-    value.  Unresolvable points are recorded, never raised.
+    Every grid point gets the eigenvector value, from one
+    ``_projection_norms`` call; at least ``wronskian_fraction`` of the
+    valid points also get the closed-formula value.  Unresolvable points
+    are recorded, never raised.
     """
     if solver is None:
         solver = make_solver(pot, abs(n) + 1)
-    samples: List[Tuple[float, float, str]] = []
-    excluded: List[float] = []
-    gaps = []
-    valid_ts = []
-    for t in np.asarray(t_grid, dtype=float):
-        got = _dn_eigenvector(solver, n, float(t))
-        if got is None:
-            excluded.append(float(t))
-            continue
-        d, lam, gap = got
-        samples.append((float(t), float(d), "eigenvector"))
-        gaps.append((float(t), float(gap)))
-        valid_ts.append((float(t), lam))
+    ts = np.asarray(t_grid, dtype=float)
+    d, lam, gap = (g[:, 0] for g in _projection_norms(solver, ts, [n]))
+    ok = ~np.isnan(d)
+    valid_ts = ts[ok].tolist()
+    samples = [(t, dj, "eigenvector")
+               for t, dj in zip(valid_ts, d[ok].tolist())]
     stride = max(1, int(1.0 / max(wronskian_fraction, 1e-6)))
-    for (t, lam) in valid_ts[::stride]:
+    for t, lj in list(zip(valid_ts, lam[ok].tolist()))[::stride]:
         try:
-            dw = dn_via_wronskian(pot, n, t, lam)
+            dw = dn_via_wronskian(pot, n, t, lj)
         except (SimplenessError, MultipleEigenvalueError):
             continue
         samples.append((t, float(dw), "wronskian"))
     inv = [1.0 / d for (_, d, m) in samples if m == "eigenvector" and d > 0]
     return ProjectionProfile(n=n, samples=samples,
                              sup_inverse=max(inv) if inv else math.inf,
-                             excluded=excluded, two_term_gap=gaps)
+                             excluded=ts[~ok].tolist(),
+                             two_term_gap=list(zip(valid_ts,
+                                                   gap[ok].tolist())))
 
 
 # --------------------------------------------------------------------------
@@ -167,24 +173,44 @@ def integral_inverse_dn(pot: MathieuPotential, n: int,
         raise QuadratureError("interval must sit inside (-pi, pi]")
     if solver is None:
         solver = make_solver(pot, abs(n) + 1)
+    return _graded_integral(lo, hi, *_integrands([n], lo, hi, solver)[0])
 
-    cache = {}
 
-    def inv_d(t: float) -> float:
-        key = round(t, 15)
-        if key not in cache:
-            got = _dn_eigenvector(solver, n, t)
-            cache[key] = math.inf if got is None or got[0] == 0 else 1.0 / got[0]
-        return cache[key]
+def _integrands(ns, lo: float, hi: float, solver: flq.BandSolver):
+    """(excluded, integrand) of each band of ``ns`` on [lo, hi]: the points
+    of a 65-point scan where |d_n|^-1 blows up, and t -> |d_n(t)|^-1 on
+    an array of nodes (inf where excluded).
 
+    The bands share their nodes: a node (to 1e-15), scan included, goes to
+    one ``_projection_norms`` call for all bands when a band first asks for
+    it.
+    """
+    known = {}
+
+    def inv_d(ts: np.ndarray) -> np.ndarray:
+        keys = [round(t, 15) for t in ts.tolist()]
+        new = {}
+        for key, t in zip(keys, ts.tolist()):
+            if key not in known:
+                new.setdefault(key, t)
+        if new:
+            d = _projection_norms(solver, list(new.values()), ns)[0]
+            inv = np.full(d.shape, np.inf)
+            np.divide(1.0, d, out=inv, where=d > 0)
+            known.update(zip(new, inv))
+        return np.array([known[key] for key in keys])
+
+    # the scan holds both endpoints, where trouble shows up as a blow-up
     scan = np.linspace(lo, hi, 65)
-    excluded = [float(t) for t in scan if not math.isfinite(inv_d(float(t)))]
-    # endpoint trouble shows up as a blow-up even when the scan misses it
-    for endpoint in (lo, hi):
-        if endpoint not in excluded and not math.isfinite(inv_d(endpoint)):
-            excluded.append(endpoint)
-    excluded = sorted(set(excluded))
+    vals = inv_d(scan)
+    return [(scan[~np.isfinite(vals[:, b])].tolist(),
+             lambda ts, b=b: inv_d(ts)[:, b]) for b in range(len(ns))]
 
+
+def _graded_integral(lo: float, hi: float, excluded: List[float],
+                     inv_d) -> InverseIntegral:
+    """``integral_inverse_dn`` from the scan's exclusions and the
+    integrand of ``_integrands``."""
     epss = [10.0 ** -k for k in EXCLUSION_DECADES]
     # radii four per decade from the smallest exclusion radius up to the
     # base panel width (and at least the largest): every exclusion radius
@@ -203,7 +229,7 @@ def integral_inverse_dn(pot: MathieuPotential, n: int,
         used = _clear_of(edges, excluded, epss[-1])
         xs, wk, wg = composite(edges, *GK15)
         nodes = xs[used].ravel()
-        vals = np.array([inv_d(float(t)) for t in nodes])
+        vals = inv_d(nodes)
         finite = np.isfinite(vals)
         if finite.all():
             break
@@ -274,6 +300,7 @@ def detect_singularities(pot: MathieuPotential, window: Tuple[float, float],
     ess: List[EssRecord] = []
     n_hint = max(2, int(math.sqrt(max(window[1], 1.0)) / TWO_PI) + 1)
     endpoint_cache = {}
+    spans = {}      # span -> the ESS records whose integral covers it
 
     def endpoint_solution(at_pi: bool):
         if at_pi not in endpoint_cache:
@@ -315,26 +342,30 @@ def detect_singularities(pot: MathieuPotential, window: Tuple[float, float],
             # recorded as evidence because its mass scales with the
             # (factorially small) Jordan coupling and saturates at any
             # reachable exclusion radius once the band index grows
-            div_flag = None
-            if run_integrals:
-                t0 = math.pi if at_pi else 0.0
-                band = abs(cp.n_guess)
-                span = (max(t0 - 0.05, 0.0), t0) if at_pi else (0.0, 0.05)
-                # built on the first ESS: most windows have none
-                if solver is None:
-                    solver = make_solver(pot, n_hint)
-                try:
-                    result = integral_inverse_dn(pot, band, span,
-                                                 solver=solver)
-                    div_flag = result.divergence_flag
-                except QuadratureError:
-                    div_flag = None
             ess.append(EssRecord(point=cp, geometric_multiplicity=gm,
                                  cluster_size=len(cluster),
-                                 divergence_flag=div_flag,
+                                 divergence_flag=None,
                                  band_guess=cp.n_guess))
+            if run_integrals:
+                t0 = math.pi if at_pi else 0.0
+                span = (max(t0 - 0.05, 0.0), t0) if at_pi else (0.0, 0.05)
+                spans.setdefault(span, []).append(ess[-1])
         else:
             singular.append(cp)
+    # the ESS that share a span share one pass over all their bands; the
+    # solver is built only then, since most windows have no ESS
+    if spans and solver is None:
+        solver = make_solver(pot, n_hint)
+    for (lo, hi), records in spans.items():
+        bands = sorted({abs(r.band_guess) for r in records})
+        flags = {}
+        for band, got in zip(bands, _integrands(bands, lo, hi, solver)):
+            try:
+                flags[band] = _graded_integral(lo, hi, *got).divergence_flag
+            except QuadratureError:
+                flags[band] = None
+        for r in records:
+            r.divergence_flag = flags[abs(r.band_guess)]
     return singular, ess
 
 
@@ -525,10 +556,11 @@ def classify_operator(pot: MathieuPotential,
         ess_inf = "fails"
         if ess_scan_nmax >= 1:
             solver = make_solver(pot, ess_scan_nmax + 1)
+            ns = range(1, ess_scan_nmax + 1)
+            lo, hi = -math.pi + 1e-9, math.pi
             vals = {}
-            for n in range(1, ess_scan_nmax + 1):
-                res = integral_inverse_dn(pot, n, (-math.pi + 1e-9, math.pi),
-                                          solver=solver)
+            for n, got in zip(ns, _integrands(ns, lo, hi, solver)):
+                res = _graded_integral(lo, hi, *got)
                 vals[n] = res.value
                 if res.divergence_flag:
                     ess_inf = "undecided"

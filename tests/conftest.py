@@ -1,7 +1,11 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
-from mathieuspec import MathieuPotential, bloch_function, make_solver
+from mathieuspec import (BlochFunction, MathieuPotential, assemble,
+                         bloch_function, eig, make_solver)
 
 POTS = {
     "free": MathieuPotential(0, 0),
@@ -45,12 +49,46 @@ def solvers():
     return get
 
 
+@functools.lru_cache(maxsize=256)
+def _dense_solution(pot, M, t):
+    return eig(assemble(pot, t, M))
+
+
+def _dense_band(solver, t, n):
+    t = float(t)
+    if t == -math.pi:
+        t = math.pi
+    elif t < 0:
+        primal, partner = _dense_band(solver, -t, n)
+        return (BlochFunction(n, t, partner.ks, np.conj(partner.coeffs[::-1]),
+                              primal.lam, partner.residual),
+                BlochFunction(n, t, primal.ks, np.conj(primal.coeffs[::-1]),
+                              partner.lam, primal.residual))
+    return bloch_function(solver.pot, t, n, M=solver.M,
+                          lambda_ref=solver.curves.value(n, t),
+                          solution=_dense_solution(solver.pot, solver.M, t))
+
+
+@pytest.fixture(scope="session")
+def dense_band():
+    """The dense reference for ``BandSolver.bands``: band n's (primal,
+    partner) at t along the solver's curves, or MultipleEigenvalueError.
+
+    One ``eig`` per |t|, memoized per (potential, M, |t|), then
+    ``bloch_function`` with the curve value; -pi is read as pi, and t < 0
+    is reflected from -t (primal P conj(partner), partner P conj(primal),
+    P the reversal k -> -k, with the residuals swapped).
+    """
+    return _dense_band
+
+
 @pytest.fixture(scope="session")
 def dn_direct():
     """|d_n(t)| from a direct eigensolve at t, labeled by the solver's curve.
 
-    A BandSolver reads t < 0 off the solution at |t| by reflection; this
-    solves the operator at t itself, so a +-t comparison still tests it.
+    ``BandSolver.bands`` reads t < 0 off the pair at |t| by reflection;
+    this solves the operator at t itself, so a +-t comparison still tests
+    it.
     """
     def get(solver, n, t):
         primal, partner = bloch_function(solver.pot, t, n, M=solver.M,

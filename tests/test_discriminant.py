@@ -381,10 +381,10 @@ class TestWronskianProjection:
             d = dn_via_wronskian(solver.pot, n, t, lam)
             assert d == pytest.approx(1.0, abs=1e-6)
 
-    def test_dual_method_consistency(self, solvers):
+    def test_dual_method_consistency(self, solvers, dense_band):
         solver = solvers("asym")
         for (n, t) in ((6, 0.35), (4, 1.2), (2, 2.5)):
-            primal, partner = solver.band(t, n)
+            primal, partner = dense_band(solver, t, n)
             lam, v, w = primal.lam, primal.coeffs, partner.coeffs
             d_vec = abs(np.vdot(w, v))
             d_wr = dn_via_wronskian(solver.pot, n, t, lam)

@@ -109,11 +109,11 @@ class TestCoefficients:
         a = bloch_coefficient(solver.pot, f, 5, 0.7, solver=solver)
         assert abs(a) <= 1e-10
 
-    def test_gauge_invariance(self, solvers, rng):
+    def test_gauge_invariance(self, solvers, dense_band, rng):
         solver = solvers("asym", n_max=5)
         f = TestFunction("gaussian", width=1.0)
         t, n = 1.0, 2
-        primal, partner = solver.band(t, n)
+        primal, partner = dense_band(solver, t, n)
         v, w = primal.coeffs, partner.coeffs
         a0 = coefficient_from_vectors(f, t, solver.ks, v, w)
         x = np.linspace(-1, 1, 5)
@@ -182,7 +182,7 @@ class TestReconstruction:
         assert residuals[2] <= 1.1 * residuals[1]
         assert residuals[2] < 1e-3
 
-    def test_pair_integrand_bounded(self, solvers):
+    def test_pair_integrand_bounded(self, solvers, dense_band):
         # the summed pair stays bounded toward the collision while the
         # largest single term dominates it there
         solver = solvers("gasymov", n_max=4)
@@ -191,7 +191,7 @@ class TestReconstruction:
         freqs_of = lambda t: TWO_PI * solver.ks + t
 
         def term(t, n):
-            primal, partner = solver.band(t, n)
+            primal, partner = dense_band(solver, t, n)
             v, w = primal.coeffs, partner.coeffs
             a = coefficient_from_vectors(f, t, solver.ks, v, w)
             return a * (np.exp(1j * np.outer(x, freqs_of(t))) @ v)[0]

@@ -1,4 +1,5 @@
 import cmath
+import inspect
 import math
 import re
 from pathlib import Path
@@ -359,16 +360,16 @@ class TestOnDemandDeficiency:
         i = sol.nearest(solver.curves.value(2, 0.0))
         assert len(sol.cluster(i)) > 1
         # (2, -2) share one cluster at t = 0; it is not deficient, so each
-        # band resolves as its member of the two-periodic pair
-        for _ in range(3):
-            for n in (2, -2):
-                assert solver.band(0.0, n)[0].t == 0.0
+        # band resolves as its member of the two-periodic pair, and one
+        # call asks the verdict once
+        got = solver.bands([0.0], [2, -2])
+        assert got.ok.all() and got.dense.all()
         assert len(svd_count) == 1
-        # (2, -3) share one at t = pi, and -pi, read as pi, reuses its
-        # verdict
-        for t in (PI, -PI, PI):
-            for n in (2, -3):
-                assert solver.band(t, n)[0].t == PI
+        # (2, -3) share one at t = pi, and -pi, read as pi, is the same
+        # node of the same call
+        got = solver.bands([PI, -PI, PI], [2, -3])
+        assert np.array_equal(got.t, [PI, PI, PI])
+        assert got.ok.all() and got.dense_solves == 1
         assert len(svd_count) == 2
 
 
@@ -399,52 +400,71 @@ class TestReflection:
                 op = assemble(pot, -t, m)
                 scale = op.scale
                 lams = solver.solution(t).lambdas
-                for n in range(-3, 4):
-                    got = _band_or_none(solver.band, -t, n)
+                got = solver.bands([-t], range(-3, 4))
+                assert got.t[0] == -t
+                for r, n in enumerate(range(-3, 4)):
                     direct = _band_or_none(
                         bloch_function, pot, -t, n, M=m,
                         lambda_ref=solver.curves.value(n, -t))
                     # a band the direct solve refuses is refused here too
-                    assert (got is None) == (direct is None)
-                    if got is None:
+                    assert (not got.ok[0, r]) == (direct is None)
+                    if direct is None:
                         continue
-                    primal, partner = got
-                    assert primal.t == partner.t == -t
-                    assert abs(primal.lam - direct[0].lam) <= 1e-12 * scale
-                    assert partner.lam == np.conj(primal.lam)
-                    d_ref = abs(np.vdot(partner.coeffs, primal.coeffs))
+                    x, y, lam = (got.right[0, :, r], got.left[0, :, r],
+                                 got.lam[0, r])
+                    assert abs(lam - direct[0].lam) <= 1e-12 * scale
+                    d_ref = abs(np.vdot(y, x))
                     d_dir = abs(np.vdot(direct[1].coeffs, direct[0].coeffs))
                     # a near-double (the unequal pair at pi - 1e-9 is 7e-5
                     # apart) moves |d| by rounding / gap in any solve
-                    gap = np.partition(np.abs(lams - primal.lam), 1)[1]
+                    gap = np.partition(np.abs(lams - lam), 1)[1]
                     assert abs(d_ref - d_dir) <= max(1e-10, eps * scale / gap)
                     # the carried certificates hold for the reflected vectors
-                    res = np.linalg.norm(op.apply(primal.coeffs[:, None])[:, 0]
-                                         - primal.lam * primal.coeffs)
+                    res = np.linalg.norm(op.apply(x[:, None])[:, 0] - lam * x)
                     lres = np.linalg.norm(
-                        op.apply(partner.coeffs[:, None], adjoint=True)[:, 0]
-                        - partner.lam * partner.coeffs)
-                    assert abs(res - primal.residual) <= eps * scale
-                    assert abs(lres - partner.residual) <= eps * scale
+                        op.apply(y[:, None], adjoint=True)[:, 0]
+                        - np.conj(lam) * y)
+                    assert abs(res - got.residual[0, r]) <= eps * scale
+                    assert abs(lres - got.left_residual[0, r]) <= eps * scale
                     cert = 1e-8 * max(scale, 1.0)
                     assert res <= cert and lres <= cert
 
     def test_solver_reflects_negative_t(self, monkeypatch):
-        solver = make_solver(MathieuPotential(1, 2), 2)
-        t = float(solver.curves.t_samples[40])
-        primal, partner = solver.band(t, 2)
-        calls = []
-        monkeypatch.setattr(flq, "eig", lambda op: calls.append(op))
-        mp, mq = solver.band(-t, 2)
-        assert calls == []
-        assert mp.t == mq.t == -t
-        assert mp.lam == primal.lam and mq.lam == partner.lam
-        assert np.array_equal(mp.coeffs, np.conj(partner.coeffs[::-1]))
-        assert np.array_equal(mq.coeffs, np.conj(primal.coeffs[::-1]))
-        assert (mp.residual, mq.residual) == (partner.residual,
-                                              primal.residual)
-        # the reflection is made per band, never stored as a solution
-        assert min(solver._cache) >= 0.0
+        # one bands([t, -t]) call resolves the node |t| once, on the batch
+        # (two-sided) or the dense route (one-sided), and reads the -t
+        # pairs off the t pairs by reflection, entry for entry
+        solves, batches = [], []
+        real_eig, real_batch = flq.eig, flq._inverse_iteration
+
+        def counted_eig(op):
+            solves.append(op.t)
+            return real_eig(op)
+
+        def counted_batch(pot, M, ts, *rest):
+            batches.append(ts)
+            return real_batch(pot, M, ts, *rest)
+
+        monkeypatch.setattr(flq, "eig", counted_eig)
+        monkeypatch.setattr(flq, "_inverse_iteration", counted_batch)
+        for pot, route in ((MathieuPotential(1, 2), batches),
+                           (MathieuPotential(0, 1), solves)):
+            solver = make_solver(pot, 2)
+            t = float(solver.curves.t_samples[40])
+            solves.clear()
+            batches.clear()
+            got = solver.bands([t, -t], [2, -1])
+            assert len(solves) + len(batches) == len(route) == 1
+            assert got.dense_solves == len(solves)
+            assert all(np.all(ts == t) for ts in route)
+            assert np.array_equal(got.t, [t, -t])
+            assert got.ok.all()
+            assert np.array_equal(got.lam[1], got.lam[0])
+            assert np.array_equal(got.right[1], np.conj(got.left[0, ::-1]))
+            assert np.array_equal(got.left[1], np.conj(got.right[0, ::-1]))
+            assert np.array_equal(got.residual[1], got.left_residual[0])
+            assert np.array_equal(got.left_residual[1], got.residual[0])
+            # nothing of the call is kept on the solver
+            assert set(vars(solver)) == {"pot", "curves", "M"}
 
 
 EDGE_TS = [0.0, PI, -PI, 1e-15, -1e-15, PI - 1e-15, -(PI - 1e-15)]
@@ -458,40 +478,37 @@ class TestBandEdgeInputs:
     @settings(max_examples=60, deadline=None)
     def test_certified_pair_or_refusal(self, solvers, klass, t, n):
         solver = solvers(f"bench-{klass}", n_max=3)
-        got = _band_or_none(solver.band, t, n)
-        if got is None:
+        got = solver.bands([t, -t], [n])
+        if not got.ok[0, 0]:
             return
-        primal, partner = got
-        assert primal.t == partner.t == (PI if t == -PI else t)
-        op = assemble(solver.pot, primal.t, solver.M)
+        assert got.t[0] == (PI if t == -PI else t)
+        x, y, lam = got.right[0, :, 0], got.left[0, :, 0], got.lam[0, 0]
+        op = assemble(solver.pot, got.t[0], solver.M)
         cert = 1e-8 * op.scale
-        res = np.linalg.norm(op.apply(primal.coeffs[:, None])[:, 0]
-                             - primal.lam * primal.coeffs)
-        lres = np.linalg.norm(
-            op.apply(partner.coeffs[:, None], adjoint=True)[:, 0]
-            - partner.lam * partner.coeffs)
+        res = np.linalg.norm(op.apply(x[:, None])[:, 0] - lam * x)
+        lres = np.linalg.norm(op.apply(y[:, None], adjoint=True)[:, 0]
+                              - np.conj(lam) * y)
         assert res <= cert and lres <= cert
         if t == 0.0 or abs(t) == PI:
             return
         # the other sign: read through the reflection, or solved directly
-        mirrored = _band_or_none(solver.band, -t, n)
         direct = _band_or_none(bloch_function, solver.pot, -t, n,
                                M=solver.M,
                                lambda_ref=solver.curves.value(n, -t))
-        assert (mirrored is None) == (direct is None)
+        assert (not got.ok[1, 0]) == (direct is None)
         if direct is None:
             return
-        assert abs(mirrored[0].lam - direct[0].lam) <= 1e-12 * op.scale
-        d_ref = abs(np.vdot(mirrored[1].coeffs, mirrored[0].coeffs))
+        assert abs(got.lam[1, 0] - direct[0].lam) <= 1e-12 * op.scale
+        d_ref = abs(np.vdot(got.left[1, :, 0], got.right[1, :, 0]))
         d_dir = abs(np.vdot(direct[1].coeffs, direct[0].coeffs))
         lams = solver.solution(abs(t)).lambdas
-        gap = np.partition(np.abs(lams - primal.lam), 1)[1]
+        gap = np.partition(np.abs(lams - lam), 1)[1]
         assert abs(d_ref - d_dir) <= max(
             1e-10, np.finfo(float).eps * op.scale / gap)
 
 
 def test_eigen_solutions_read_only_in_floquet():
-    # every other module gets a band's vectors from BandSolver.band or
+    # every other module gets a band's vectors from BandSolver.bands or
     # bloch_function, no module branches on a band-status string, and the
     # cluster question is asked per eigenvalue (cluster, is_deficient)
     vectors = re.compile(r"\.(left_)?vectors\b")
@@ -506,6 +523,16 @@ def test_eigen_solutions_read_only_in_floquet():
                 if status.search(text)]
     assert not [name for name, text in sources.items()
                 if eager.search(text)]
+
+
+def test_one_labelled_band_entry():
+    # no module resolves a labelled pair but through BandSolver.bands, and
+    # the solver keeps no solutions
+    sources = {p.name: p.read_text() for p in
+               Path(flq.__file__).parent.glob("*.py")}
+    assert not [name for name, text in sources.items() if ".band(" in text]
+    assert not hasattr(BandSolver, "band")
+    assert "_cache" not in inspect.getsource(BandSolver)
 
 
 class TestAdjoint:
@@ -804,17 +831,17 @@ class TestParityPair:
         sol = solver.solution(PI)
         assert len(sol.cluster(sol.nearest(solver.curves.value(n, PI)))) > 1
         lam_ref = solver.curves.value(n, PI)
-        at_pi = solver.band(PI, n)
-        at_minus = solver.band(-PI, n)
-        for got, want in zip(at_minus, at_pi):
-            assert got.t == PI and got.family == "antiperiodic"
-            assert got.lam == want.lam
-            assert np.array_equal(got.coeffs, want.coeffs)
+        got = solver.bands([PI, -PI], [n])
+        assert np.array_equal(got.t, [PI, PI])
+        assert got.ok.all() and got.dense.all()
+        for part in (got.lam, got.right, got.left, got.residual,
+                     got.left_residual):
+            assert np.array_equal(part[1], part[0])
         # bloch_function with no solution handed in: the -pi operator is
         # solved, and its pair is read as pi
         fresh = bloch_function(pot, -PI, n, M=solver.M, lambda_ref=lam_ref)
-        assert fresh[0].t == PI
-        assert np.array_equal(fresh[0].coeffs, at_pi[0].coeffs)
+        assert fresh[0].t == PI and fresh[0].family == "antiperiodic"
+        assert np.array_equal(fresh[0].coeffs, got.right[0, :, 0])
 
     def test_endpoint_fixes_family(self):
         # the pair at pi is antiperiodic, at 0 periodic
@@ -858,7 +885,8 @@ def _phase_aligned_gap(x, want):
 class TestBatchedBands:
     @pytest.mark.parametrize("name", ["bench-sa", "bench-eq", "bench-un",
                                       "bench-os", "large-ab", "opposite"])
-    def test_matches_dense_band_at_expand_nodes(self, pots, name):
+    def test_matches_dense_band_at_expand_nodes(self, pots, dense_band,
+                                                name):
         from mathieuspec.expansion import _passes, make_plan
         pot = pots[name]
         plan = make_plan(pot, 4)
@@ -872,7 +900,7 @@ class TestBatchedBands:
         for j, t in enumerate(nodes):
             scale = assemble(pot, abs(t), solver.M).scale
             for r, n in enumerate(labels):
-                dense = _band_or_none(solver.band, float(t), n)
+                dense = _band_or_none(dense_band, solver, float(t), n)
                 # the same clustered / skipped verdict
                 assert (dense is None) == (not got.ok[j, r])
                 if dense is None:
@@ -894,7 +922,7 @@ class TestBatchedBands:
         st.one_of(st.sampled_from(EDGE_TS),
                   st.floats(-PI, PI, exclude_min=True)))
     @settings(max_examples=40, deadline=None)
-    def test_certified_or_dense_refusal(self, amps, t):
+    def test_certified_or_dense_refusal(self, dense_band, amps, t):
         # log10 |a/b|, sqrt|ab| and the phases; or one-sided and free
         if amps == "free":
             pot = MathieuPotential(0, 0)
@@ -920,7 +948,7 @@ class TestBatchedBands:
                     # only the dense route refuses, and it refuses here too
                     assert got.dense[j, r]
                     with pytest.raises(MultipleEigenvalueError):
-                        solver.band(tj, n)
+                        dense_band(solver, tj, n)
                     continue
                 x, y, lam = (got.right[j, :, r], got.left[j, :, r],
                              got.lam[j, r])

@@ -76,16 +76,17 @@ class _PerBandAccumulator:
     """Reference: the accumulator that resolved, transformed and
     exponentiated every band of every node on its own."""
 
-    def __init__(self, f, solver, x):
+    def __init__(self, f, solver, x, dense_band):
         self.f = f
         self.solver = solver
+        self.dense_band = dense_band
         self.x = np.asarray(x, dtype=float)
         self.total = np.zeros(len(self.x), dtype=complex)
         self.skipped = 0
 
     def _band_term(self, t, n):
         try:
-            primal, partner = self.solver.band(t, n)
+            primal, partner = self.dense_band(self.solver, t, n)
         except MultipleEigenvalueError:
             return None
         v, w = primal.coeffs, partner.coeffs
@@ -210,7 +211,7 @@ BENCH_CLASSES = {
 
 
 @pytest.mark.parametrize("klass", sorted(BENCH_CLASSES))
-def test_accumulator_matches_per_band_reference(klass):
+def test_accumulator_matches_per_band_reference(dense_band, klass):
     pot = MathieuPotential(*BENCH_CLASSES[klass])
     plan = make_plan(pot, 4)
     assert (plan.form == "Gasymov") == (klass == "os")
@@ -219,7 +220,7 @@ def test_accumulator_matches_per_band_reference(klass):
     xs = np.linspace(-2.0, 2.0, 9)
     rep = reconstruct(pot, f, plan, xs, solver=solver)
 
-    ref = _PerBandAccumulator(f, solver, xs)
+    ref = _PerBandAccumulator(f, solver, xs, dense_band)
     for (nodes, weights, groups) in exp_mod._passes(plan):
         ref.add_single(nodes, weights, [g[0] for g in groups if len(g) == 1])
         ref.add_pairs(nodes, weights, [g for g in groups if len(g) == 2])

@@ -8,9 +8,10 @@ from mathieuspec import (DegenerateProductError, MathieuPotential,
                          QuadratureError, classify_operator,
                          detect_singularities, dn_profile,
                          integral_inverse_dn, region_decomposition)
+from mathieuspec import floquet as flq
 from mathieuspec import spectrality as spc
 from mathieuspec.spectrality import (ASYMPTOTICALLY_ELEGANT, ELEGANT, GASYMOV,
-                                     _dn_eigenvector)
+                                     _projection_norms)
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
@@ -42,11 +43,9 @@ class TestProfiles:
     def test_asymmetric_endpoint_decay(self, solvers):
         # log |d_n(0)| falls linearly with slope log |a/b|
         solver = solvers("asym")
-        logs = []
-        for n in range(4, 9):
-            got = _dn_eigenvector(solver, n, 0.0)
-            assert got is not None
-            logs.append(math.log(got[0]))
+        d = _projection_norms(solver, [0.0], range(4, 9))[0][0]
+        assert not np.isnan(d).any()
+        logs = np.log(d)
         slope = np.polyfit(np.arange(4, 9), logs, 1)[0]
         assert abs(slope - math.log(0.5)) <= 0.25 * abs(math.log(0.5))
 
@@ -62,8 +61,8 @@ class TestProfiles:
             solver = solvers(name)
             for n in (1, 4):
                 for t in (0.37, 1.9):
-                    dp = _dn_eigenvector(solver, n, t)
-                    assert abs(dp[0] - dn_direct(solver, n, -t)) <= 1e-8
+                    dp = _projection_norms(solver, [t], [n])[0][0, 0]
+                    assert abs(dp - dn_direct(solver, n, -t)) <= 1e-8
 
     def test_interior_near_unity(self, solvers):
         # away from the endpoints the projections are near-orthogonal
@@ -83,11 +82,11 @@ class TestProfiles:
             reg = region_decomposition(solver.pot, n)
             lo, hi = reg.i5
             assert hi > lo
-            for t in np.linspace(max(lo * 1.1, lo + 1e-9), hi, 4):
-                got = _dn_eigenvector(solver, n, float(t))
-                if got is None:
+            ts = np.linspace(max(lo * 1.1, lo + 1e-9), hi, 4)
+            for d in _projection_norms(solver, ts, [n])[0][:, 0]:
+                if np.isnan(d):
                     continue
-                assert 0.2 <= got[0] <= 5.0
+                assert 0.2 <= d <= 5.0
 
     @pytest.mark.xfail(strict=True, reason=(
         "stated desk-scale signature contradicts the coupling analysis: the "
@@ -97,7 +96,7 @@ class TestProfiles:
     def test_gasymov_profile_monotone_dip(self, solvers):
         solver = solvers("gasymov", n_max=3)
         ts = np.array([8e-3, 4e-3, 2e-3, 1e-3, 5e-4])
-        vals = [_dn_eigenvector(solver, 2, float(t))[0] for t in ts]
+        vals = _projection_norms(solver, ts, [2])[0][:, 0]
         assert all(b < a for a, b in zip(vals[:-1], vals[1:]))
         assert vals[-1] < 0.5
 
@@ -128,13 +127,13 @@ class TestInverseIntegrals:
     def test_one_pass_evaluates_each_node_once(self, solvers, monkeypatch):
         solver = solvers("gasymov", n_max=3)
         ts = []
-        inner = spc._dn_eigenvector
+        inner = spc._projection_norms
 
-        def counted(solver, n, t):
-            ts.append(t)
-            return inner(solver, n, t)
+        def counted(solver, nodes, ns):
+            ts.extend(nodes)
+            return inner(solver, nodes, ns)
 
-        monkeypatch.setattr(spc, "_dn_eigenvector", counted)
+        monkeypatch.setattr(spc, "_projection_norms", counted)
         integral_inverse_dn(solver.pot, 2, (0.0, 0.05), solver=solver)
         assert len(ts) == len(set(ts))
         assert len(ts) <= 450
@@ -152,16 +151,17 @@ class TestInverseIntegrals:
         xs = ((np.arange(32) + 0.5)[:, None] * 2 * half
               + half * gx[None, :]).ravel()
         ws = np.tile(half * gw, 32)
-        vals = [1.0 / _dn_eigenvector(solver, 1, s * float(x))[0]
-                for s in (1, -1) for x in xs]
+        vals = 1.0 / _projection_norms(
+            solver, np.concatenate([xs, -xs]), [1])[0][:, 0]
         ref = float(np.dot(np.concatenate([ws, ws]), vals))
         assert abs(res.value - ref) <= res.error <= 0.05 * res.value
 
     def test_rough_integrand_raises_with_estimates(self, solvers,
                                                    monkeypatch):
         solver = solvers("equal", n_max=4)
-        monkeypatch.setattr(spc, "_dn_eigenvector", lambda solver, n, t: (
-            1.1 + math.sin(211.0 * t), 0j, 0.0))
+        monkeypatch.setattr(spc, "_projection_norms", lambda solver, ts, ns: (
+            np.outer(1.1 + np.sin(211.0 * np.asarray(ts)), np.ones(len(ns))),
+            None, None))
         with pytest.raises(QuadratureError) as info:
             integral_inverse_dn(solver.pot, 2, (-PI + 1e-9, PI),
                                 solver=solver)
@@ -216,6 +216,42 @@ class TestDetection:
         monkeypatch.setattr(spc, "make_solver", counting)
         _, ess = detect_singularities(pot, window)
         assert len(ess) == builds == len(calls)
+
+    def test_ess_integrals_share_their_nodes(self, monkeypatch):
+        # (2 pi)^2 and (4 pi)^2 are ESS of the periodic family, bands 1 and
+        # 2, whose integrals share the span (0, 0.05); (3 pi)^2 has the
+        # antiperiodic one to itself.  Every integrand node is handed over
+        # once, for all bands of its span, and solved at most once (M = 16
+        # keeps the dense solves cheap).
+        pot = MathieuPotential(0, 1)
+        solver = flq.BandSolver(pot, flq.track_curves(
+            pot, flq.default_grid(96), range(-4, 5), M=16))
+        nodes, solves = [], []
+        inner, real_eig = spc._projection_norms, flq.eig
+
+        def counted(solver, ts, ns):
+            nodes.extend(abs(float(t)) for t in ts)
+            before = len(solves)
+            try:
+                return inner(solver, ts, ns)
+            finally:
+                inside.append(len(solves) - before)
+
+        def counted_eig(op):
+            solves.append(op.t)
+            return real_eig(op)
+
+        inside = []
+        monkeypatch.setattr(spc, "_projection_norms", counted)
+        monkeypatch.setattr(flq, "eig", counted_eig)
+        _, ess = detect_singularities(pot, (30.0, 170.0), solver=solver)
+        periodic = sorted(abs(e.band_guess) for e in ess
+                          if e.point.family == "periodic")
+        assert periodic == [1, 2] and len(ess) == 3
+        assert all(e.divergence_flag is not None for e in ess)
+        assert len(nodes) == len(set(nodes))
+        assert sum(inside) <= len(nodes)
+        assert set(vars(solver)) == {"pot", "curves", "M"}
 
     def test_interior_collision_classified(self):
         sing, ess = detect_singularities(MathieuPotential(1, -1),
