@@ -609,15 +609,14 @@ def find_critical_points(pot: MathieuPotential, window: Tuple[float, float],
             if cnt > 1:
                 seeds = [complex(a0 + (a1 - a0) * u, 0.5 * (b0 + b1))
                          for u in np.linspace(0.1, 0.9, cnt)]
-            near = []
-            for seed in seeds:
-                root = _polish_critical(pot, seed)
-                # Newton may escape a wide box to some other root; only a
-                # root that stays near its box counts as localized
-                if root is not None and \
-                        a0 - (a1 - a0) <= root.real <= a1 + (a1 - a0) and \
-                        b0 - (b1 - b0) - 0.5 <= root.imag <= b1 + (b1 - b0) + 0.5:
-                    near.append(root)
+            # Newton may escape a wide box to some other root, or to where
+            # the monodromy fails; only a root whose iterates stay near
+            # its box counts as localized
+            near_box = (a0 - (a1 - a0), a1 + (a1 - a0),
+                        b0 - (b1 - b0) - 0.5, b1 + (b1 - b0) + 0.5)
+            near = [root for root in (_polish_critical(pot, seed, near_box)
+                                      for seed in seeds)
+                    if root is not None]
             if len(near) >= cnt or small:
                 for root in near:
                     record(root)
@@ -660,7 +659,11 @@ def find_critical_points(pot: MathieuPotential, window: Tuple[float, float],
 
 
 def _polish_critical(pot, seed: complex,
+                     box: Tuple[float, float, float, float],
                      max_iter: int = 50) -> Optional[complex]:
+    """Newton on F' from ``seed``; None once an iterate leaves ``box``
+    (re_lo, re_hi, im_lo, im_hi) or the iteration does not converge."""
+    re_lo, re_hi, im_lo, im_hi = box
     lam = complex(seed)
     for _ in range(max_iter):
         fd = fundamental_solutions(pot, lam)
@@ -669,6 +672,8 @@ def _polish_critical(pot, seed: complex,
             return None
         step = fp / fpp
         lam = lam - step
+        if not (re_lo <= lam.real <= re_hi and im_lo <= lam.imag <= im_hi):
+            return None
         if abs(step) <= 1e-13 * (1.0 + abs(lam)):
             fd = fundamental_solutions(pot, lam)
             if abs(fd.f_prime) <= 1e-9 * (1.0 + abs(fd.f_second)):

@@ -530,12 +530,15 @@ def _assign(pred: np.ndarray, lams: np.ndarray):
 def _eigenvalues(op: TruncatedOperator) -> np.ndarray:
     """Every eigenvalue of the truncation, without vectors.
 
+    A one-sided (bidiagonal) truncation's eigenvalues are its diagonal.
     Hermitian inputs go through the symmetric tridiagonal solver on the
     gauged matrix (see ``eig``), others through LAPACK's dense QR.  The
     Hermitian solve keeps its vectors and drops them: MRRR refines the
     eigenvalues only while it computes vectors, and without them the low
     bands come out about 1e-12 relative off, for about 15% less time.
     """
+    if op.super == 0 or op.sub == 0:
+        return op.diag.astype(complex)
     try:
         if op.is_hermitian:
             off = np.full(op.size - 1, abs(op.super))
@@ -660,9 +663,12 @@ def stable_m(pot: MathieuPotential, n_max: int) -> int:
 
     At t = STABLE_T, eigenvalues in the window |lambda| <= (2 pi n_max)^2
     must move by less than STABLE_RTOL*(1+|lambda|) when M grows by 10; M
-    doubles until they do, up to M_CAP.
+    doubles until they do, up to M_CAP.  A one-sided potential passes at
+    once: its eigenvalues are the diagonal, which a larger M only extends.
     """
     M = default_m(n_max)
+    if pot.ab == 0:
+        return M
     window = (TWO_PI * n_max) ** 2 + 1.0
     while True:
         w1 = np.asarray(sla.eigvals(assemble(pot, STABLE_T, M).to_dense()))
@@ -724,6 +730,11 @@ SWEEPS = 3
 #: Largest number of (node, label) pairs iterated at once.
 BATCH_PAIRS = 512
 
+#: Largest number of (node, label) pairs resolved at once in closed form:
+#: its recurrences cost next to nothing, so a small chunk keeps their
+#: temporaries below the vectors they fill.
+CLOSED_FORM_PAIRS = 128
+
 
 def _inverse_iteration(pot: MathieuPotential, M: int, ts: np.ndarray,
                        shifts: np.ndarray, labels: np.ndarray):
@@ -765,6 +776,80 @@ def _inverse_iteration(pot: MathieuPotential, M: int, ts: np.ndarray,
     return sigma, x, y, res, lres
 
 
+#: pi - math.pi, the part of pi that a double drops.
+_PI_LO = 1.2246467991473532e-16
+
+
+def _chain(gap: np.ndarray, coupling: complex) -> np.ndarray:
+    """Unit eigenvector columns of a lower-bidiagonal truncation.
+
+    Column p belongs to the diagonal entry whose gaps d_n - d_k are
+    ``gap[:, p]``; it is c_k = coupling c_{k-1} / gap_k, started at 1 on
+    the last row whose gap is exactly zero (k = n, or the upper member of
+    the exact double d_n = d_-n at t = 0) and zero above that row.
+    """
+    rows = np.arange(gap.shape[0])[:, None]
+    start = gap.shape[0] - 1 - np.argmax(gap[::-1] == 0, axis=0)
+    v = np.divide(coupling, gap, out=np.ones(gap.shape, dtype=complex),
+                  where=rows > start)
+    np.cumprod(v, axis=0, out=v)
+    v *= rows >= start
+    v /= np.linalg.norm(v, axis=0)
+    return v
+
+
+def _one_sided(pot: MathieuPotential, M: int, ts: np.ndarray, labels):
+    """Closed-form eigenpairs of ``labels`` at each t >= 0 of ``ts`` (ab = 0).
+
+    The truncation is bidiagonal, so label n's eigenvalue is its diagonal
+    entry d_n = (2 pi n + t)^2 and its vectors follow from two-term
+    recurrences (Gasymov, Funct. Anal. Appl. 14 (1980)): for a = 0 the
+    right vector runs up from k = n with b and the left one down with
+    conj(b); for b = 0 the right one runs down with a and the left one up
+    with conj(a).  The gaps are d_n - d_k = 2 pi (n - k)(2 pi (n + k) + 2t),
+    free of the cancellation of a difference of squares, with pi carried
+    to twice double precision so that they hold near t = pi as well.
+
+    A pair is accepted when it is finite and certified on both sides
+    (``_certificate``) and no other diagonal entry is linked to d_n
+    (``_linked`` at ``CLUSTER_RTOL``), which is where the dense route
+    refuses it.  Returns (lam, right, left, res, lres, ok) indexed [node,
+    label] (vectors [node, :, label]); a refused pair keeps d_n, the
+    residuals of its recurrence and zero vectors.
+    """
+    a, b = complex(pot.a), complex(pot.b)
+    ks = np.arange(-M, M + 1)[:, None]
+    nn, nl = len(ts), len(labels)
+    t = np.repeat(ts, nl)               # the pairs as columns, node-major
+    n = np.tile(np.asarray(labels, dtype=int), nn)
+    diag = (TWO_PI * ks + t) ** 2
+    lam = diag[n + M, np.arange(len(n))]
+    # t + pi m with pi split in two doubles: near t = pi the partner's
+    # t - pi is then exact to rounding, not off by the rounding of pi
+    gap = 2.0 * TWO_PI * (n - ks) * ((t + math.pi * (n + ks))
+                                     + _PI_LO * (n + ks))
+    # a refused pair's recurrence may overflow (a gap near 1e-300); its
+    # residuals then read inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a = 0: right up with b, left down with conj(b); b = 0 the mirror
+        x = _chain(gap, b) if a == 0 else _chain(gap[::-1], a)[::-1]
+        y = (_chain(gap[::-1], np.conj(b))[::-1] if a == 0
+             else _chain(gap, np.conj(a)))
+        cert = _certificate(diag.max(axis=0) + abs(a) + abs(b))
+        links = _linked(lam, diag, lam, diag, CLUSTER_RTOL) & (ks != n)
+        diag -= lam         # the shifted matrix gives both residuals
+        res = np.linalg.norm(_product(diag, a, b, x), axis=0)
+        lres = np.linalg.norm(_product(diag, np.conj(b), np.conj(a), y),
+                              axis=0)
+        ok = ((res <= cert) & (lres <= cert) & ~links.any(axis=0))
+    x[:, ~ok] = y[:, ~ok] = 0.0
+    size = 2 * M + 1
+    return (lam.reshape(nn, nl),
+            x.reshape(size, nn, nl).transpose(1, 0, 2),
+            y.reshape(size, nn, nl).transpose(1, 0, 2),
+            res.reshape(nn, nl), lres.reshape(nn, nl), ok.reshape(nn, nl))
+
+
 @dataclass
 class BandBatch:
     """Labelled Bloch pairs at a list of nodes, from ``BandSolver.bands``.
@@ -772,11 +857,14 @@ class BandBatch:
     Arrays are indexed [node, label] (vectors [node, :, label], on the
     solver's Fourier window): ``lam``; the unit right eigenvector ``right``
     and its adjoint partner ``left`` (for conj(lam)); their residual
-    certificates.  ``ok`` is False where the dense route refused the pair
-    (``bloch_function`` raised MultipleEigenvalueError); such a pair keeps
-    the eigenvalue nearest its curve and that eigenpair's residuals, and
-    zero vectors.  ``dense`` marks the pairs the dense route resolved, and
-    ``dense_solves`` counts the dense eigensolves that took.
+    certificates.  ``ok`` is False where the pair was refused: by the dense
+    route (``bloch_function`` raised MultipleEigenvalueError), or, for
+    ab = 0, by the closed form at a linked diagonal entry.  Such a pair
+    keeps the eigenvalue nearest its curve (the label's diagonal entry for
+    ab = 0) and that eigenpair's residuals, and zero vectors.  ``dense``
+    marks the pairs the dense route resolved or refused, so neither batch
+    nor closed-form pairs, and ``dense_solves`` counts the dense
+    eigensolves that took.
     """
 
     t: np.ndarray
@@ -796,8 +884,9 @@ class BandSolver:
     ``bands`` is the one entry: it resolves every (node, band) pair of a
     node list in one inverse-iteration batch, with the tracked curves as
     shifts, and sends only the pairs it cannot certify to the dense route,
-    one ``solution`` per node.  It takes any t in (-pi, pi] and keeps
-    nothing once it returns.
+    one ``solution`` per node.  A one-sided potential (ab = 0) has its
+    pairs in closed form and makes no eigensolve.  It takes any t in
+    (-pi, pi] and keeps nothing once it returns.
     """
 
     def __init__(self, pot: MathieuPotential, curves: BlochCurveSet):
@@ -828,11 +917,15 @@ class BandSolver:
         shift than any other label's and the nearest of the batch to its
         shift, and no other label's eigenvalue is linked to it (``_linked``
         at ``CLUSTER_RTOL``, which also keeps the labels' eigenvalues
-        distinct).  Every other pair, and every pair of a potential with
-        ab = 0 (whose bidiagonal eigenvalues sit on exact zero pivots),
-        takes the dense route: ``bloch_function`` on ``solution(t)`` with
-        the curve value as reference, which refuses a deficient or
-        unresolvable cluster.
+        distinct).  Every other pair takes the dense route:
+        ``bloch_function`` on ``solution(t)`` with the curve value as
+        reference, which refuses a deficient or unresolvable cluster.
+
+        A potential with ab = 0, whose bidiagonal eigenvalues sit on exact
+        zero pivots, takes neither: every pair comes from the closed form
+        of ``_one_sided``, in chunks of ``CLOSED_FORM_PAIRS``, which
+        refuses exactly where the dense route does (the label's diagonal
+        entry linked to another).
         """
         ts = np.asarray(ts, dtype=float)
         ts = np.where(ts == -math.pi, math.pi, ts)
@@ -845,19 +938,25 @@ class BandSolver:
         res = np.zeros((len(nodes), nl))
         lres = np.zeros_like(res)
         ok = np.ones((len(nodes), nl), dtype=bool)
-        dense = np.ones_like(ok)
-        if self.pot.ab != 0 and nl:
-            every = sorted(set(labels) | {-n for n in labels}
-                           | {-n - 1 for n in labels})
+        one_sided = self.pot.ab == 0
+        dense = np.full_like(ok, not one_sided)
+        if nl:
+            every = labels if one_sided else sorted(
+                set(labels) | {-n for n in labels} | {-n - 1 for n in labels})
             cols = [every.index(n) for n in labels]
-            step = max(1, BATCH_PAIRS // len(every))
+            chunk = CLOSED_FORM_PAIRS if one_sided else BATCH_PAIRS
+            step = max(1, chunk // len(every))
             for lo in range(0, len(nodes), step):
                 part = slice(lo, lo + step)
-                got = self._batch(nodes[part], every)
+                got = (_one_sided(self.pot, self.M, nodes[part], every)
+                       if one_sided else self._batch(nodes[part], every))
                 lam[part], rr, ll, res[part], lres[part], acc = (
                     g[..., cols] for g in got)
                 right[part], left[part] = rr, ll
-                dense[part] = ~acc
+                if one_sided:
+                    ok[part] = acc
+                else:
+                    dense[part] = ~acc
         solves = 0
         for j in np.flatnonzero(dense.any(axis=1)):
             t = float(nodes[j])

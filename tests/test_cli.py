@@ -140,6 +140,25 @@ class TestCommands:
             assert set(p) == {"lambda_re", "lambda_im", "t_re", "t_im",
                               "family", "n_guess"}
 
+    def test_singularities_newton_stays_in_its_box(self, tmp_path):
+        # on the whole window, Newton from a wide box used to run off to
+        # lambda ~ -877 + 29i, where the monodromy loses det Y = 1 (exit 2);
+        # the window reports what its two halves report together
+        def points(window):
+            out = tmp_path / window.replace(",", "_")
+            assert main(["singularities", "--a", "2", "--b", "0+1.6i",
+                         "--window", window, "--out", str(out)]) == 0
+            payload = json.loads((out / "critical_points.json").read_text())
+            return [(complex(p["lambda_re"], p["lambda_im"]), p["family"])
+                    for p in payload["critical_points"]]
+
+        whole = points("0,157.9")
+        halves = points("0,100") + points("100,157.9")
+        assert len(whole) == len(halves) == 3
+        for (lam, fam), (want, fam_want) in zip(whole, halves):
+            assert abs(lam - want) <= 1e-7 * (1.0 + abs(want))
+            assert fam == fam_want
+
     def test_verify_passes(self, tmp_path, capsys):
         rc = main(["verify", "--a", "1", "--b", "1", "--out", str(tmp_path),
                    "--seed", "11"])

@@ -223,15 +223,16 @@ class TestReconstruction:
         assert "h" not in d
 
     def test_report_counts_the_dense_route(self):
-        # ab = 0: every pair takes the dense route, one solve per |t|
+        # ab = 0: every pair comes from the closed form, which counts with
+        # the batch, and the dense route solves nothing
         pot = MathieuPotential(0, 0)
         plan = ExpansionPlan(form="Elegant", n_max=4, allow_mismatch=True)
         rep = reconstruct(pot, TestFunction("gaussian"), plan, [0.0],
                           solver=make_solver(pot, 5))
         d = rep.to_dict()
-        assert d["batch_pairs"] == 0
-        assert d["dense_fallbacks"] == (2 * 192) * 9
-        assert d["dense_solves"] == 192
+        assert d["batch_pairs"] == (2 * 192) * 9
+        assert d["dense_fallbacks"] == 0
+        assert d["dense_solves"] == 0
 
 
 @pytest.fixture

@@ -431,10 +431,12 @@ class TestReflection:
 
     def test_solver_reflects_negative_t(self, monkeypatch):
         # one bands([t, -t]) call resolves the node |t| once, on the batch
-        # (two-sided) or the dense route (one-sided), and reads the -t
-        # pairs off the t pairs by reflection, entry for entry
-        solves, batches = [], []
+        # (two-sided) or the closed form (one-sided), with no dense solve,
+        # and reads the -t pairs off the t pairs by reflection, entry for
+        # entry
+        solves, batches, closed = [], [], []
         real_eig, real_batch = flq.eig, flq._inverse_iteration
+        real_closed = flq._one_sided
 
         def counted_eig(op):
             solves.append(op.t)
@@ -444,17 +446,23 @@ class TestReflection:
             batches.append(ts)
             return real_batch(pot, M, ts, *rest)
 
+        def counted_closed(pot, M, ts, *rest):
+            closed.append(ts)
+            return real_closed(pot, M, ts, *rest)
+
         monkeypatch.setattr(flq, "eig", counted_eig)
         monkeypatch.setattr(flq, "_inverse_iteration", counted_batch)
+        monkeypatch.setattr(flq, "_one_sided", counted_closed)
         for pot, route in ((MathieuPotential(1, 2), batches),
-                           (MathieuPotential(0, 1), solves)):
+                           (MathieuPotential(0, 1), closed)):
             solver = make_solver(pot, 2)
             t = float(solver.curves.t_samples[40])
             solves.clear()
             batches.clear()
+            closed.clear()
             got = solver.bands([t, -t], [2, -1])
-            assert len(solves) + len(batches) == len(route) == 1
-            assert got.dense_solves == len(solves)
+            assert len(batches) + len(closed) == len(route) == 1
+            assert solves == [] and got.dense_solves == 0
             assert all(np.all(ts == t) for ts in route)
             assert np.array_equal(got.t, [t, -t])
             assert got.ok.all()
@@ -886,7 +894,7 @@ class TestBatchedBands:
     @pytest.mark.parametrize("name", ["bench-sa", "bench-eq", "bench-un",
                                       "bench-os", "large-ab", "opposite"])
     def test_matches_dense_band_at_expand_nodes(self, pots, dense_band,
-                                                name):
+                                                one_sided_reference, name):
         from mathieuspec.expansion import _passes, make_plan
         pot = pots[name]
         plan = make_plan(pot, 4)
@@ -895,8 +903,9 @@ class TestBatchedBands:
         labels = list(range(-4, 5))
         got = solver.bands(nodes, labels)
         assert got.lam.shape == (len(nodes), len(labels))
-        if name == "bench-os":
-            assert got.dense.all()
+        if pot.ab == 0:
+            # the closed form: no pair takes the dense route
+            assert not got.dense.any() and got.dense_solves == 0
         for j, t in enumerate(nodes):
             scale = assemble(pot, abs(t), solver.M).scale
             for r, n in enumerate(labels):
@@ -910,10 +919,16 @@ class TestBatchedBands:
                 if got.dense[j, r]:
                     assert np.array_equal(got.right[j, :, r], primal.coeffs)
                     continue
-                assert _phase_aligned_gap(got.right[j, :, r],
-                                          primal.coeffs) <= 1e-10
-                assert _phase_aligned_gap(got.left[j, :, r],
-                                          partner.coeffs) <= 1e-10
+                want = primal.coeffs, partner.coeffs
+                if pot.ab == 0 and max(
+                        _phase_aligned_gap(got.right[j, :, r], want[0]),
+                        _phase_aligned_gap(got.left[j, :, r], want[1])
+                        ) > 1e-10:
+                    # the dense route misses the bound here: the 30-digit
+                    # recurrence is the reference
+                    want = one_sided_reference(pot, solver.M, t, n)[1:]
+                assert _phase_aligned_gap(got.right[j, :, r], want[0]) <= 1e-10
+                assert _phase_aligned_gap(got.left[j, :, r], want[1]) <= 1e-10
 
     @given(st.one_of(
         st.tuples(st.floats(-6.0, 6.0), st.floats(0.2, 2.0),
@@ -945,8 +960,9 @@ class TestBatchedBands:
             live = []
             for r, n in enumerate(labels):
                 if not got.ok[j, r]:
-                    # only the dense route refuses, and it refuses here too
-                    assert got.dense[j, r]
+                    # only the dense route or, for ab = 0, the closed form
+                    # refuses, and the dense route refuses here too
+                    assert got.dense[j, r] or pot.ab == 0
                     with pytest.raises(MultipleEigenvalueError):
                         dense_band(solver, tj, n)
                     continue
@@ -965,3 +981,90 @@ class TestBatchedBands:
                 for xk, yk in live[i + 1:]:
                     assert abs(np.vdot(yk, xi)) < 0.5 * abs(np.vdot(yi, xi))
                     assert abs(np.vdot(yi, xk)) < 0.5 * abs(np.vdot(yk, xk))
+
+
+# --------------------------------------------------------------------------
+# Closed-form pairs of one-sided (ab = 0) potentials
+# --------------------------------------------------------------------------
+
+def _expand_nodes(pot, stride):
+    """Every ``stride``-th node of the ``expand`` plan, and the edge ts."""
+    from mathieuspec.expansion import _passes, make_plan
+    plan = make_plan(pot, 4)
+    nodes = np.concatenate([p[0] for p in _passes(plan)])
+    return plan, np.concatenate([nodes[::stride], EDGE_TS])
+
+
+class TestOneSidedClosedForm:
+    @pytest.mark.parametrize("name", ["bench-os", "gasymov", "left"])
+    def test_matches_mpmath_reference(self, pots, one_sided_reference,
+                                      name):
+        # lambda, the phase-aligned vectors and |d| against the 30-digit
+        # recurrence, at rounding level
+        pot = pots[name]
+        plan, ts = _expand_nodes(pot, 37)
+        solver = make_solver(pot, plan.n_max + 1)
+        labels = list(range(-4, 5))
+        got = solver.bands(ts, labels)
+        eps = np.finfo(float).eps
+        for j, r in zip(*np.nonzero(got.ok)):
+            lam, x, y = one_sided_reference(pot, solver.M, ts[j], labels[r])
+            gx, gy = got.right[j, :, r], got.left[j, :, r]
+            assert abs(got.lam[j, r] - lam) <= 4 * eps * max(abs(lam), 1)
+            assert _phase_aligned_gap(gx, x) <= 1e-13
+            assert _phase_aligned_gap(gy, y) <= 1e-13
+            d = abs(np.vdot(y, x))
+            assert abs(abs(np.vdot(gy, gx)) - d) <= 1e-13 * d
+
+    @pytest.mark.parametrize("name", ["bench-os", "gasymov", "left", "free"])
+    def test_no_dense_solve(self, monkeypatch, pots, dense_band, name):
+        # the tracking and bands make no eigensolve for ab = 0, and refuse
+        # exactly the pairs the dense route refuses
+        pot = pots[name]
+        calls = []
+        for owner, fn in ((flq, "eig"), (sla, "eig"), (sla, "eigvals"),
+                          (sla, "eigh_tridiagonal")):
+            def counted(*args, _real=getattr(owner, fn), _fn=fn, **kwargs):
+                calls.append(_fn)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, fn, counted)
+        plan, ts = _expand_nodes(pot, 11)
+        solver = make_solver(pot, plan.n_max + 1)
+        labels = list(range(-5, 6))
+        got = solver.bands(ts, labels)
+        assert calls == []
+        assert not got.dense.any() and got.dense_solves == 0
+        monkeypatch.undo()
+        assert (~got.ok).any()
+        for j, t in enumerate(ts):
+            for r, n in enumerate(labels):
+                dense = _band_or_none(dense_band, solver, float(t), n)
+                assert (dense is None) == (not got.ok[j, r])
+
+    @given(st.booleans(), st.floats(-6.0, 3.0), st.floats(0.0, TWO_PI),
+           st.one_of(st.sampled_from(EDGE_TS),
+                     st.floats(-PI, PI, exclude_min=True)),
+           st.integers(-6, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_certified_or_refused_with_dense(self, dense_band, left, mag,
+                                             phase, t, n):
+        # a = 0 or b = 0, |coupling| from 1e-6 to 1e3 at any phase
+        c = 10.0 ** mag * cmath.exp(1j * phase)
+        pot = MathieuPotential(c, 0) if left else MathieuPotential(0, c)
+        solver = BandSolver(pot, track_curves(
+            pot, t_grid=default_grid(16), n_range=range(-6, 7), M=16))
+        got = solver.bands([t], [n])
+        refused = _band_or_none(dense_band, solver, t, n) is None
+        assert refused == (not got.ok[0, 0])
+        if refused:
+            return
+        x, y, lam = got.right[0, :, 0], got.left[0, :, 0], got.lam[0, 0]
+        assert np.isfinite(lam)
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+        op = assemble(pot, got.t[0], solver.M)
+        cert = 1e-8 * max(op.scale, 1.0)
+        res = np.linalg.norm(op.apply(x[:, None])[:, 0] - lam * x)
+        lres = np.linalg.norm(op.apply(y[:, None], adjoint=True)[:, 0]
+                              - np.conj(lam) * y)
+        assert res <= cert and lres <= cert
