@@ -223,8 +223,11 @@ def _cmd_spectrum(cfg: JobConfig, out: Path) -> dict:
                     for k, c in zip(solver.ks, anchor.right[0, :, r]))
         (out / f"eigenfunction_n{n}.csv").write_text(
             "\n".join(rows) + "\n", encoding="utf-8")
-    _write_json(out / "pairing.json", {"pair_labels": curves.pair_labels,
-                                       "ambiguities": curves.ambiguities})
+    _write_json(out / "pairing.json", {
+        "pair_labels": curves.pair_labels,
+        "ambiguities": curves.ambiguities,
+        "tracking": {"M": curves.M, "window_M": curves.window_M,
+                     "eigensolves": curves.eigensolves}})
     if not pot.is_free:
         ts = [0.004, 0.01, 0.02, math.pi / 2, math.pi - 0.01]
         bands = [n for n in curves.n_values if 1 <= abs(n) <= min(cfg.n_max, 6)]

@@ -127,6 +127,13 @@ def _certificate(scale):
     return 1e-8 * np.maximum(scale, 1.0)
 
 
+def _scale(pot: MathieuPotential, ts, M: int):
+    """``assemble(pot, t, M).scale`` at each t of ``ts``, bit for bit,
+    without assembling: the largest diagonal entry is (2 pi M + |t|)^2."""
+    return ((TWO_PI * M + np.abs(ts)) ** 2 + abs(complex(pot.a))
+            + abs(complex(pot.b)))
+
+
 def assemble(pot: MathieuPotential, t: float, M: int) -> TruncatedOperator:
     """Build the truncated operator; M >= 4 so the window brackets a band."""
     if M < 4:
@@ -443,10 +450,12 @@ class BlochCurveSet:
 
     lambda_n(-t) = lambda_n(t) extends every curve to (-pi, pi]; accessors
     take any quasimomentum in that interval.  ``pair_labels`` records which
-    labels coalesce at the two-periodic endpoints.  The tracking solves
-    eigenvalues only; ``residuals``, the certificates of the labelled
-    eigenpairs at the samples, come from one ``BandSolver.bands`` pass on
-    first read.
+    labels coalesce at the two-periodic endpoints.  ``M`` is the truncation
+    every eigenpair is read on; the tracking solved eigenvalues only, on
+    the narrower central window k = -window_M..window_M, and ``eigensolves``
+    counts the solves it made (see ``track_curves``).  ``residuals``, the
+    certificates of the labelled eigenpairs at the samples, come from one
+    ``BandSolver.bands`` pass on M at first read.
     """
 
     pot: MathieuPotential
@@ -454,6 +463,8 @@ class BlochCurveSet:
     t_samples: np.ndarray
     curves: Dict[int, np.ndarray]
     pair_labels: dict
+    window_M: int
+    eigensolves: int
     ambiguities: list = field(default_factory=list)
 
     @property
@@ -511,6 +522,9 @@ def _assign(pred: np.ndarray, lams: np.ndarray):
     between the two candidates (a tiny margin is only ambiguous when the
     candidates are genuinely far apart).
     """
+    if len(lams) < len(pred):
+        raise ValidationError(
+            f"{len(pred)} labels cannot be matched to {len(lams)} eigenvalues")
     cost = np.abs(pred[:, None] - lams[None, :])
     rows, cols = linear_sum_assignment(cost)
     idx = np.empty(len(pred), dtype=int)
@@ -530,7 +544,9 @@ def _assign(pred: np.ndarray, lams: np.ndarray):
 def _eigenvalues(op: TruncatedOperator) -> np.ndarray:
     """Every eigenvalue of the truncation, without vectors.
 
-    A one-sided (bidiagonal) truncation's eigenvalues are its diagonal.
+    The tracking hands it the narrow window of ``_window``, not the full
+    truncation.  A one-sided (bidiagonal) truncation's eigenvalues are its
+    diagonal, which a wider window only extends, so it makes no solve.
     Hermitian inputs go through the symmetric tridiagonal solver on the
     gauged matrix (see ``eig``), others through LAPACK's dense QR.  The
     Hermitian solve keeps its vectors and drops them: MRRR refines the
@@ -550,6 +566,40 @@ def _eigenvalues(op: TruncatedOperator) -> np.ndarray:
         ) from exc
 
 
+#: Labels beyond the largest |n| that the tracking window starts with.
+WINDOW_MARGIN = 10
+
+
+def _window(pot: MathieuPotential, n_max: int, M: int,
+            full: Optional[np.ndarray] = None) -> Tuple[int, int]:
+    """The tracking's Fourier window K <= M and the eigensolves it took.
+
+    K starts at min(M, n_max + WINDOW_MARGIN).  At t = STABLE_T every
+    eigenvalue of the K-window with |lambda| <= (2 pi (n_max + 1))^2 must
+    lie within 10 eps scale(M) of an eigenvalue of the M-truncation
+    (``full``, solved here when not given); K doubles until they do, up to
+    M.  A one-sided window needs no check: its eigenvalues are diagonal
+    entries of the M-truncation.
+    """
+    K = min(M, n_max + WINDOW_MARGIN)
+    solves = 0
+    if pot.a == 0 or pot.b == 0:
+        return K, solves
+    tol = 10.0 * np.finfo(float).eps * float(_scale(pot, STABLE_T, M))
+    bound = (TWO_PI * (n_max + 1)) ** 2
+    while K < M:
+        if full is None:
+            full = _reference_spectrum(pot, M)
+            solves += 1
+        w = _eigenvalues(assemble(pot, STABLE_T, K))
+        solves += 1
+        w = w[np.abs(w) <= bound]
+        if np.all(np.min(np.abs(w[:, None] - full[None, :]), axis=1) <= tol):
+            break
+        K = min(2 * K, M)
+    return K, solves
+
+
 def track_curves(pot: MathieuPotential, t_grid: Optional[np.ndarray] = None,
                  n_range=None, M: Optional[int] = None) -> BlochCurveSet:
     """Track continuously numbered eigenvalue curves over [0, pi].
@@ -557,16 +607,31 @@ def track_curves(pot: MathieuPotential, t_grid: Optional[np.ndarray] = None,
     Labels are anchored at t = pi/2 by nearest-unperturbed matching
     (lambda_n ~ (2 pi n + pi/2)^2) and continued stepwise by minimal-sum
     assignment with linear extrapolation.  The grid refines itself where a
-    matching is ambiguous (margin below 1e-12 of the matrix scale), up to
-    ``REFINE_CAP`` rounds; leftover ambiguities are reported on the result
-    rather than raised.  Only eigenvalues are solved.
+    matching is ambiguous (margin below 1e-12 of the scale of the
+    M-truncation), up to ``REFINE_CAP`` rounds; leftover ambiguities are
+    reported on the result rather than raised.
+
+    Only eigenvalues are solved, and only on the central window
+    k = -K..K that ``_window`` certifies against the M-truncation
+    (K = min(M, n_max + 10) unless the check widens it); the margin, and
+    every eigenpair read later, stay on M.  ``eigensolves`` on the result
+    counts one solve per grid point, refinements included, plus those of
+    the window check (``stable_m``'s are its own); a one-sided potential
+    makes none.  Raises ValidationError when M < n_max + 1.
     """
     if n_range is None:
         n_range = range(-3, 4)
     labels = sorted(int(n) for n in n_range)
     n_max = max(abs(n) for n in labels)
+    full = None
     if M is None:
-        M = stable_m(pot, n_max)
+        M, full = stable_m(pot, n_max, with_spectrum=True)
+    if M < n_max + 1:
+        raise ValidationError(
+            f"truncation M={M} cannot hold the labels |n| <= {n_max}: "
+            f"M must be >= {n_max + 1}")
+    K, solves = _window(pot, n_max, M, full)
+    one_sided = pot.a == 0 or pot.b == 0
     if t_grid is None:
         t_grid = default_grid()
     t_grid = np.unique(np.asarray(t_grid, dtype=float))
@@ -576,10 +641,10 @@ def track_curves(pot: MathieuPotential, t_grid: Optional[np.ndarray] = None,
     cache: Dict[float, Tuple[np.ndarray, float]] = {}
 
     def solve(t: float) -> Tuple[np.ndarray, float]:
-        """(eigenvalues, matrix scale) at t."""
+        """(eigenvalues on the window, scale of the M-truncation) at t."""
         if t not in cache:
-            op = assemble(pot, t, M)
-            cache[t] = _eigenvalues(op), op.scale
+            cache[t] = (_eigenvalues(assemble(pot, t, K)),
+                        float(_scale(pot, t, M)))
         return cache[t]
 
     ambiguities: list = []
@@ -650,34 +715,44 @@ def track_curves(pot: MathieuPotential, t_grid: Optional[np.ndarray] = None,
                  "gap": float(gap)})
     pair_labels["rho"] = RHO_PAIRING
 
+    if not one_sided:
+        solves += len(cache)
     return BlochCurveSet(pot=pot, M=M, t_samples=grid, curves=curves,
-                         pair_labels=pair_labels, ambiguities=ambiguities)
+                         pair_labels=pair_labels, window_M=K,
+                         eigensolves=solves, ambiguities=ambiguities)
 
 
 def _c2l(z: complex) -> list:
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def stable_m(pot: MathieuPotential, n_max: int) -> int:
+def _reference_spectrum(pot: MathieuPotential, M: int) -> np.ndarray:
+    """Every eigenvalue of the M-truncation at t = STABLE_T, by dense QR."""
+    return np.asarray(sla.eigvals(assemble(pot, STABLE_T, M).to_dense()))
+
+
+def stable_m(pot: MathieuPotential, n_max: int, with_spectrum: bool = False):
     """Smallest M (from the heuristic) passing the truncation check.
 
     At t = STABLE_T, eigenvalues in the window |lambda| <= (2 pi n_max)^2
     must move by less than STABLE_RTOL*(1+|lambda|) when M grows by 10; M
     doubles until they do, up to M_CAP.  A one-sided potential passes at
     once: its eigenvalues are the diagonal, which a larger M only extends.
+    With ``with_spectrum`` it returns (M, the eigenvalues of the accepted
+    M-truncation at STABLE_T), the second None for a one-sided potential,
+    so that the tracking's window check reuses the solve.
     """
     M = default_m(n_max)
     if pot.ab == 0:
-        return M
+        return (M, None) if with_spectrum else M
     window = (TWO_PI * n_max) ** 2 + 1.0
     while True:
-        w1 = np.asarray(sla.eigvals(assemble(pot, STABLE_T, M).to_dense()))
-        w2 = np.asarray(sla.eigvals(
-            assemble(pot, STABLE_T, M + 10).to_dense()))
+        w1 = _reference_spectrum(pot, M)
+        w2 = _reference_spectrum(pot, M + 10)
         sel = np.abs(w1) <= window
         drift = np.array([np.min(np.abs(w2 - lam)) for lam in w1[sel]])
         if np.all(drift <= STABLE_RTOL * (1.0 + np.abs(w1[sel]))):
-            return M
+            return (M, w1) if with_spectrum else M
         if M >= M_CAP:
             raise TrackingAmbiguityError(
                 f"truncation did not stabilize below M={M_CAP}")
@@ -1013,8 +1088,7 @@ class BandSolver:
         lam, res, lres = (g.reshape(nn, nl) for g in (lam, res, lres))
         right = x.T.reshape(nn, nl, -1).transpose(0, 2, 1)
         left = y.T.reshape(nn, nl, -1).transpose(0, 2, 1)
-        cert = _certificate(np.array(
-            [assemble(self.pot, t, self.M).scale for t in nodes]))[:, None]
+        cert = _certificate(_scale(self.pot, nodes, self.M))[:, None]
         off = ~np.eye(nl, dtype=bool)
         with np.errstate(invalid="ignore"):
             # dist[j, r, q] = |lam_r - shift_q| at node j

@@ -101,6 +101,34 @@ class TestCommands:
         assert (tmp_path / "eigenfunction_n2.csv").read_text().splitlines()[0] \
             == "k,re_c,im_c"
 
+    def test_spectrum_tracking_counts(self, tmp_path):
+        for amps in (("1", "2"), ("0", "2")):
+            out = tmp_path / amps[0]
+            rc = main(["spectrum", "--a", amps[0], "--b", amps[1], "--nmax",
+                       "3", "--tpoints", "64", "--out", str(out)])
+            assert rc == 0
+            tracking = json.loads((out / "pairing.json").read_text())[
+                "tracking"]
+            assert tracking["M"] == 32 and tracking["window_M"] == 13
+            rows = (out / "curves.csv").read_text().splitlines()[1:]
+            samples = {abs(float(l.split(",")[1])) for l in rows}
+            if amps[0] == "0":
+                # one-sided: the eigenvalues are the diagonal
+                assert tracking["eigensolves"] == 0
+            else:
+                # one per sample and one for the window check
+                assert tracking["eigensolves"] == len(samples) + 1
+
+    @pytest.mark.parametrize("m", ["4", "5"])
+    def test_truncation_below_labels(self, tmp_path, capsys, m):
+        # M must hold the labels |n| <= 6: a typed error, not an IndexError
+        rc = main(["spectrum", "--a", "1", "--b", "2", "--nmax", "6",
+                   "--m-override", m, "--out", str(tmp_path)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValidationError"
+        assert "M must be >= 7" in err["message"]
+
     def test_expand_free(self, tmp_path):
         rc = main(["expand", "--a", "0", "--b", "0", "--nmax", "4",
                    "--out", str(tmp_path)])

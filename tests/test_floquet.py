@@ -650,6 +650,136 @@ class TestTracking:
             assert np.max(steps) <= speed_cap
 
 
+EPS = np.finfo(float).eps
+
+#: Strongly coupled potentials for the tracking window, beside the
+#: fixture's (1, 2) and self-adjoint ones.
+STRONG = [(40, 40), (100, 100j), (10, -7j)]
+
+
+@pytest.fixture
+def eigensolve_sizes(monkeypatch):
+    """Matrix sizes of the eigenvalue solves made while installed."""
+    sizes = []
+    eigvals, eigh_tridiagonal = sla.eigvals, sla.eigh_tridiagonal
+
+    def dense(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigvals(a, *args, **kwargs)
+
+    def tridiagonal(d, *args, **kwargs):
+        sizes.append(len(d))
+        return eigh_tridiagonal(d, *args, **kwargs)
+
+    monkeypatch.setattr(flq.sla, "eigvals", dense)
+    monkeypatch.setattr(flq.sla, "eigh_tridiagonal", tridiagonal)
+    return sizes
+
+
+class TestTrackingWindow:
+    def test_scale_matches_assemble(self):
+        g = default_grid(96)
+        ts = np.concatenate([g, -g, [PI, -PI]])
+        for pot in (MathieuPotential(1, 2), MathieuPotential(0, 0),
+                    MathieuPotential(0.5 + 0.5j, 0.5 - 0.5j),
+                    MathieuPotential(0, 0.3 - 0.7j),
+                    MathieuPotential(0.123456789 + 0.9j, -2.3 + 1e-3j)):
+            for m in (4, 32, 36, 513):
+                want = np.array([assemble(pot, t, m).scale for t in ts])
+                assert np.array_equal(flq._scale(pot, ts, m), want)
+
+    @pytest.mark.parametrize("case", ["asym", "sa"] + STRONG)
+    def test_samples_on_full_spectrum(self, solvers, case):
+        # away from the endpoint doubles every curve sample is an
+        # eigenvalue of the M-truncation to 10 eps scale(M)
+        if isinstance(case, str):
+            curves = solvers(case).curves
+        else:
+            curves = track_curves(MathieuPotential(*case), default_grid(32),
+                                  range(-6, 7))
+        assert curves.window_M < curves.M
+        checked = 0
+        for j, t in enumerate(curves.t_samples):
+            full = sla.eigvals(assemble(curves.pot, t, curves.M).to_dense())
+            scale = flq._scale(curves.pot, t, curves.M)
+            for n in curves.n_values:
+                lam = curves.curves[n][j]
+                i = np.argmin(np.abs(full - lam))
+                if np.min(np.abs(np.delete(full, i) - full[i])) \
+                        <= 1e-6 * scale:
+                    continue
+                assert abs(full[i] - lam) <= 10 * EPS * scale
+                checked += 1
+        assert checked >= 0.5 * len(curves.t_samples) * len(curves.n_values)
+
+    @pytest.mark.parametrize("name", ["bench-sa", "bench-eq", "bench-un",
+                                      "bench-os"])
+    @pytest.mark.parametrize("n_max", [5, 6])
+    def test_full_window_same_tracking(self, monkeypatch, pots, name, n_max):
+        # tracking on the whole truncation gives the narrowed run's grid,
+        # labels and ambiguities, with the curves to 2e-11 relative
+        pot, labels = pots[name], range(-n_max, n_max + 1)
+        narrow = track_curves(pot, default_grid(96), labels)
+        monkeypatch.setattr(flq, "_window",
+                            lambda pot, n_max, M, full=None: (M, 0))
+        wide = track_curves(pot, default_grid(96), labels)
+        assert wide.window_M == wide.M == narrow.M
+        assert np.array_equal(wide.t_samples, narrow.t_samples)
+        assert wide.ambiguities == narrow.ambiguities
+        for side in ("zero", "pi"):
+            assert ([p["pair"] for p in wide.pair_labels[side]]
+                    == [p["pair"] for p in narrow.pair_labels[side]])
+        for n in labels:
+            want = wide.curves[n]
+            assert np.all(np.abs(narrow.curves[n] - want)
+                          <= 2e-11 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("amps, n_max, window", [
+        ((1, 2), 6, 16), ((1 + 0.5j, 1 - 0.5j), 6, 16), ((0, 1), 6, 16),
+        # the window check fails at 14 here and doubles the window once
+        ((1000, 1000j), 4, 28)])
+    def test_window_solves_only(self, eigensolve_sizes, amps, n_max, window):
+        # outside the window check's one solve on M, no eigensolve is
+        # larger than the window; every solve is counted
+        pot = MathieuPotential(*amps)
+        M = stable_m(pot, n_max)
+        eigensolve_sizes.clear()
+        curves = track_curves(pot, default_grid(32),
+                              range(-n_max, n_max + 1), M=M)
+        assert curves.window_M == window
+        assert len(eigensolve_sizes) == curves.eigensolves
+        wide = [s for s in eigensolve_sizes if s > 2 * window + 1]
+        if pot.ab == 0:
+            assert eigensolve_sizes == []
+        else:
+            assert wide == [2 * M + 1]
+            assert eigensolve_sizes.count(2 * window + 1) \
+                >= len(curves.t_samples)
+
+    def test_shares_stable_m_solve(self, eigensolve_sizes):
+        # with M from stable_m, the window check reuses its solve on M:
+        # beyond stable_m's own solves the tracking makes window solves only
+        pot = MathieuPotential(1, 2)
+        M = stable_m(pot, 6)
+        own = list(eigensolve_sizes)
+        eigensolve_sizes.clear()
+        curves = track_curves(pot, default_grid(32), range(-6, 7))
+        assert curves.M == M
+        assert eigensolve_sizes[:len(own)] == own
+        assert eigensolve_sizes[len(own):] \
+            == [2 * curves.window_M + 1] * curves.eigensolves
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_m_below_labels_rejected(self, m):
+        with pytest.raises(ValidationError):
+            track_curves(MathieuPotential(1, 2), default_grid(32),
+                         range(-6, 7), M=m)
+
+    def test_assign_needs_an_eigenvalue_per_label(self):
+        with pytest.raises(ValidationError):
+            flq._assign(np.zeros(3, dtype=complex), np.ones(2, dtype=complex))
+
+
 class TestBlochFunction:
     def test_free_concentrated(self):
         bf, partner = bloch_function(MathieuPotential(0, 0), 0.5, 3)
