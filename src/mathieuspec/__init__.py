@@ -16,9 +16,9 @@ from .potential import (AsymptoticConstants, DiophantineVerdict, LogComplex,
                         asymptotic_constants, check_diophantine,
                         format_complex, parse_complex, parse_rational,
                         periodic_pair, snap_rational)
-from .floquet import (BlochCurveSet, BlochFunction, BandSolver, EigenSolution,
-                      TruncatedOperator, assemble, bloch_function,
-                      default_grid, eig, free_lambda, track_curves)
+from .floquet import (BandSolver, BlochCurveSet, EndpointSpectrum,
+                      TruncatedOperator, assemble, default_grid,
+                      endpoint_spectrum, free_lambda, track_curves)
 from .discriminant import (CriticalPoint, EigenRoot, FundamentalData,
                            count_roots, dn_via_wronskian, eigenvalues_at,
                            find_critical_points, fundamental_solutions)

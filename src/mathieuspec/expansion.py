@@ -231,8 +231,8 @@ class ResidualReport:
     per_point: List[dict]
     skipped_nodes: int = 0
     batch_pairs: int = 0
-    dense_fallbacks: int = 0
-    dense_solves: int = 0
+    endpoint_pairs: int = 0
+    endpoint_solves: int = 0
 
     def to_dict(self) -> dict:
         d = {"schema_version": 1, "form": self.form, "n_max": self.n_max,
@@ -241,8 +241,8 @@ class ResidualReport:
              "per_point": self.per_point,
              "skipped_nodes": self.skipped_nodes,
              "batch_pairs": self.batch_pairs,
-             "dense_fallbacks": self.dense_fallbacks,
-             "dense_solves": self.dense_solves}
+             "endpoint_pairs": self.endpoint_pairs,
+             "endpoint_solves": self.endpoint_solves}
         if self.h is not None:
             d["h"] = self.h
         return d
@@ -256,8 +256,8 @@ class _Accumulator:
         self.total = np.zeros(len(self.x), dtype=complex)
         self.skipped = 0
         self.batch_pairs = 0
-        self.dense_fallbacks = 0
-        self.dense_solves = 0
+        self.endpoint_pairs = 0
+        self.endpoint_solves = 0
 
     def add(self, nodes, weights, groups):
         """Add every group's terms a_n(t) Psi_{n,t}(x) at each node.
@@ -273,9 +273,9 @@ class _Accumulator:
         bands = sorted({n for g in groups for n in g})
         col = {n: r for r, n in enumerate(bands)}
         got = self.solver.bands(nodes, bands)
-        self.batch_pairs += int(np.sum(~got.dense))
-        self.dense_fallbacks += int(np.sum(got.dense))
-        self.dense_solves += got.dense_solves
+        self.batch_pairs += int(np.sum(~got.endpoint))
+        self.endpoint_pairs += int(np.sum(got.endpoint))
+        self.endpoint_solves += got.endpoint_solves
         for j, (t, wt) in enumerate(zip(nodes, weights)):
             t = float(t)
             live = [g for g in groups if all(got.ok[j, col[n]] for n in g)]
@@ -328,5 +328,5 @@ def reconstruct(pot: MathieuPotential, f: TestFunction, plan: ExpansionPlan,
                           mean_residual=float(np.mean(resid)),
                           per_point=per_point, skipped_nodes=acc.skipped,
                           batch_pairs=acc.batch_pairs,
-                          dense_fallbacks=acc.dense_fallbacks,
-                          dense_solves=acc.dense_solves)
+                          endpoint_pairs=acc.endpoint_pairs,
+                          endpoint_solves=acc.endpoint_solves)

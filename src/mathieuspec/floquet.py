@@ -9,6 +9,11 @@ of the primal matrix therefore are the adjoint eigenfunctions.
 Eigenvalue curves are numbered so that lambda_n(t) ~ (2 pi n + t)^2 at the
 mid-zone anchor t = pi/2 and continued by nearest-distance assignment,
 with lambda_n(-t) = lambda_n(t) extending them to negative quasimomentum.
+The tracking solves eigenvalues only.  A labelled eigenpair takes one of
+three routes, chosen from the input (``BandSolver.bands``): the closed form
+of a one-sided potential (ab = 0), the two parity blocks at the
+two-periodic endpoints t = 0 and +-pi (``endpoint_spectrum``), and a batch
+of inverse iteration at every other t.
 """
 
 from __future__ import annotations
@@ -23,17 +28,13 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.optimize import linear_sum_assignment
 
-from .errors import (ConvergenceError, MultipleEigenvalueError,
-                     TrackingAmbiguityError, ValidationError)
+from .errors import ConvergenceError, TrackingAmbiguityError, ValidationError
 from .potential import MathieuPotential, RHO_PAIRING
 
 TWO_PI = 2.0 * math.pi
 
 #: Relative gap below which eigenvalues are treated as one cluster.
 CLUSTER_RTOL = 1e-7
-
-#: Relative singular-value cutoff for geometric-multiplicity counting.
-GM_RTOL = 1e-8
 
 #: Grid refinement rounds ``track_curves`` spends on ambiguous matchings.
 REFINE_CAP = 6
@@ -104,12 +105,6 @@ class TruncatedOperator:
         return bool(np.isrealobj(self.diag)
                     and self.sub == np.conj(self.super))
 
-    def mirrored(self) -> "TruncatedOperator":
-        """H_{-t} on the same window: the diagonal under k -> -k."""
-        return TruncatedOperator(t=-self.t, M=self.M,
-                                 diag=self.diag[::-1].copy(),
-                                 super=self.super, sub=self.sub)
-
 
 def _product(diag: np.ndarray, sup: complex, sub: complex,
              v: np.ndarray) -> np.ndarray:
@@ -144,300 +139,155 @@ def assemble(pot: MathieuPotential, t: float, M: int) -> TruncatedOperator:
                              super=complex(pot.a), sub=complex(pot.b))
 
 
-@dataclass
-class EigenSolution:
-    """Eigen-decomposition with residual certificates.
-
-    ``vectors[:, i]`` is the unit right eigenvector for ``lambdas[i]``;
-    ``left_vectors[:, i]`` solves the conjugate-transpose problem at
-    conj(lambdas[i]) and is the matching adjoint eigenfunction.  Both
-    arrays are read-only, so a band's coefficients can be views of them.
-    ``cluster(i)`` and ``is_deficient(i)`` answer the cluster question for
-    one eigenvalue when a caller asks it; each cluster's verdict is
-    decided on first request.
-    """
-
-    op: TruncatedOperator
-    lambdas: np.ndarray
-    vectors: np.ndarray
-    left_vectors: np.ndarray
-    residuals: np.ndarray
-    left_residuals: np.ndarray
-    _verdicts: Dict[int, bool] = field(default_factory=dict, repr=False)
-
-    @property
-    def scale(self) -> float:
-        return self.op.scale
-
-    def nearest(self, lam_ref: complex) -> int:
-        return int(np.argmin(np.abs(self.lambdas - lam_ref)))
-
-    @cached_property
-    def magnitudes(self) -> np.ndarray:
-        """|lambdas|, computed once for the cluster questions."""
-        return np.abs(self.lambdas)
-
-    def cluster(self, i: int) -> List[int]:
-        """The sorted indices of eigenvalue i's cluster (i alone if simple)."""
-        return _component(self.lambdas, i, CLUSTER_RTOL, self.magnitudes)
-
-    def is_deficient(self, i: int) -> bool:
-        """Whether eigenvalue i sits in a cluster short of eigenvectors."""
-        cl = self.cluster(i)
-        if len(cl) < 2:
-            return False
-        if cl[0] not in self._verdicts:
-            self._verdicts[cl[0]] = _cluster_deficient(self.op, self.lambdas,
-                                                       cl)
-        return self._verdicts[cl[0]]
-
-
 def _linked(la, lb, ma, mb, rtol: float):
-    """The cluster link |l_a - l_b| < rtol*(1 + min(|l_a|, |l_b|))."""
-    return np.abs(la - lb) < rtol * (1.0 + np.minimum(ma, mb))
-
-
-def _component(lams: np.ndarray, i: int, rtol: float,
-               mag: Optional[np.ndarray] = None) -> List[int]:
-    """Sorted single-linkage component of the eigenvalues holding index i.
-
-    Two eigenvalues are linked by ``_linked`` and links chain transitively;
-    a simple eigenvalue costs one comparison against the rest.  ``mag`` is
-    |lams| when the caller has it.
+    """The cluster link |l_a - l_b| < rtol*(1 + min(|l_a|, |l_b|)).
 
     The gap threshold scales with the eigenvalue magnitude, not the matrix
     norm: tridiagonal eigenvalues come out far more accurately than the
     worst-case eps*||A|| bound, and a global threshold would smear whole
     near-endpoint neighborhoods into fake clusters as M grows.
     """
-    lams = np.asarray(lams)
-    if mag is None:
-        mag = np.abs(lams)
-    members = [i]
-    for j in members:       # the list grows while it is walked
-        near = _linked(lams, lams[j], mag, mag[j], rtol)
-        members += [k for k in np.flatnonzero(near).tolist()
-                    if k not in members]
-    return sorted(members)
-
-
-def eig(op: TruncatedOperator) -> EigenSolution:
-    """Eigensolve of the tridiagonal truncation with certificates.
-
-    Hermitian inputs (self-adjoint potential, sub = conj(super)) go through
-    the diagonal unitary gauge c_k -> e^{-i arg(super) k} c_k, which turns
-    the matrix into a real symmetric tridiagonal one with off-diagonal
-    |super|; its eigenpairs come from the symmetric tridiagonal solver and
-    the vectors are mapped back through the gauge, so left = right holds
-    exactly.  Other inputs go through LAPACK's dense QR iteration, whose
-    left eigenvectors come out of the same factorization, so no conjugate
-    matching step is needed.
-
-    The residual certificates ||A v - lambda v|| and ||A^H w - conj(lambda) w||
-    are evaluated from the three diagonals rather than by dense products.
-    The dense matrix is built only for the non-Hermitian solve.  Clusters
-    and their deficiency are found only when a caller asks
-    (``EigenSolution.cluster``, ``is_deficient``), so a solve whose
-    clusters nobody reads, like the tracking's, groups nothing.
-    """
-    scale = op.scale
-    try:
-        if op.is_hermitian:
-            off = np.full(op.size - 1, abs(op.super))
-            w, u = sla.eigh_tridiagonal(op.diag, off)
-            w = w.astype(complex)
-            gauge = np.exp(-1j * cmath.phase(op.super) * op.ks)
-            vr = gauge[:, None] * u
-            vl = vr
-        else:
-            dense = op.to_dense()
-            w, vl, vr = sla.eig(dense, left=True, right=True)
-    except sla.LinAlgError as exc:
-        raise ConvergenceError(
-            f"eigensolver did not converge at t={op.t!r}, M={op.M}: {exc}"
-        ) from exc
-    res = np.linalg.norm(op.apply(vr) - vr * w[None, :], axis=0)
-    if op.is_hermitian:
-        lres = res          # A^H = A and vl = vr: the same computation
-    else:
-        lres = np.linalg.norm(op.apply(vl, adjoint=True)
-                              - vl * np.conj(w)[None, :], axis=0)
-    bad = res > _certificate(scale)
-    if np.any(bad):
-        raise MultipleEigenvalueError(
-            f"eigensolver residual {res[bad].max():.3e} exceeds certificate "
-            f"at t={op.t!r}")
-    vr.flags.writeable = vl.flags.writeable = False
-    return EigenSolution(op=op, lambdas=w, vectors=vr, left_vectors=vl,
-                         residuals=res, left_residuals=lres)
-
-
-def _cluster_deficient(op: TruncatedOperator, lams: np.ndarray,
-                       cl: List[int]) -> bool:
-    """Geometric multiplicity of the cluster ``cl`` below its size?"""
-    # exactly one zero coupling -> bidiagonal; repeated diagonal values then
-    # have a one-dimensional eigenspace (the kernel recursion has a single
-    # free parameter), which no singular-value threshold can see once the
-    # Jordan chain vector norm explodes
-    if (op.super == 0) != (op.sub == 0):
-        return True
-    if op.is_hermitian:
-        return False    # a Hermitian matrix is never defective
-    mean = lams[cl].mean()
-    sv = np.linalg.svd(op.to_dense() - mean * np.eye(op.size),
-                       compute_uv=False)
-    return int(np.sum(sv < GM_RTOL * max(op.scale, 1.0))) < len(cl)
+    return np.abs(la - lb) < rtol * (1.0 + np.minimum(ma, mb))
 
 
 # --------------------------------------------------------------------------
-# Bloch functions
+# The two-periodic endpoints t = 0 and pi
 # --------------------------------------------------------------------------
 
 @dataclass
-class BlochFunction:
-    """Fourier coefficients of a normalized eigenfunction of H_t.
+class EndpointSpectrum:
+    """Eigenpairs of H_t at t = 0 or pi, from its parity blocks.
 
-    For a simple eigenvalue at t >= 0, ``coeffs`` is a view of the
-    solution's (read-only) vector.  The family follows t: periodic for |t| <= pi/2,
-    antiperiodic beyond.  ``u`` is the coefficient at k = n and ``v`` the
-    coefficient at the mirror index (k = -n for the periodic family,
-    k = -n-1 for the antiperiodic one); ``tail_norm`` collects the rest.
+    ``vectors[:, i]`` is the unit right eigenvector for ``lambdas[i]`` and
+    ``left_vectors[:, i]`` its adjoint partner (for conj(lambdas[i])), on
+    the Fourier window k = -M..M, with their residuals against the
+    truncation.  ``block[i]`` is 0 for the even block (the + block at pi)
+    and 1 for the odd (-) one; a one-sided truncation is one block.
+
+    Each block is unreduced tridiagonal, so every eigenvalue of a block
+    has a one-dimensional eigenspace: a cluster (eigenvalues linked by
+    ``_linked`` at ``CLUSTER_RTOL``) is deficient when all its members sit
+    in one block.  A Hermitian truncation, the free one included, is
+    never deficient.
     """
 
-    n: int
     t: float
-    ks: np.ndarray
-    coeffs: np.ndarray
-    lam: complex
-    residual: float
+    lambdas: np.ndarray
+    block: np.ndarray
+    vectors: np.ndarray
+    left_vectors: np.ndarray
+    residuals: np.ndarray
+    left_residuals: np.ndarray
+    hermitian: bool
 
-    @property
-    def family(self) -> str:
-        return "periodic" if abs(self.t) <= math.pi / 2 else "antiperiodic"
+    def nearest(self, lam_ref: complex, block: Optional[int] = None) -> int:
+        """The eigenvalue nearest ``lam_ref``, of one block if given."""
+        dist = np.abs(self.lambdas - lam_ref)
+        if block is not None:
+            dist[self.block != block] = np.inf
+        return int(np.argmin(dist))
 
-    @property
-    def _mirror(self) -> int:
-        return -self.n if self.family == "periodic" else -self.n - 1
+    def cluster(self, i: int) -> np.ndarray:
+        """The indices of the eigenvalues linked to eigenvalue i, i too."""
+        mag = np.abs(self.lambdas)
+        return np.flatnonzero(_linked(self.lambdas, self.lambdas[i], mag,
+                                      mag[i], CLUSTER_RTOL))
 
-    @property
-    def u(self) -> complex:
-        return self.coeff(self.n)
+    def is_deficient(self, i: int) -> bool:
+        """Whether eigenvalue i's cluster is short of eigenvectors."""
+        cl = self.cluster(i)
+        return (len(cl) > 1 and not self.hermitian
+                and bool(np.all(self.block[cl] == self.block[i])))
 
-    @property
-    def v(self) -> complex:
-        return self.coeff(self._mirror)
+    def label(self, n: int, lam_ref: complex) -> Optional[int]:
+        """Band n's eigenpair, or None for a deficient cluster.
 
-    @property
-    def tail_norm(self) -> float:
-        rest = np.array(self.coeffs)
-        for k in (self.n, self._mirror):
-            if self.ks[0] <= k <= self.ks[-1]:
-                rest[k - self.ks[0]] = 0.0
-        return float(np.linalg.norm(rest))
-
-    def coeff(self, k: int) -> complex:
-        i = int(k - self.ks[0])
-        if i < 0 or i >= len(self.ks):
-            return 0.0 + 0.0j
-        return complex(self.coeffs[i])
-
-    def evaluate(self, x) -> np.ndarray:
-        """Psi(x) = sum_k c_k e^{i(2 pi k + t)x} at (an array of) x."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        freqs = TWO_PI * self.ks + self.t
-        return np.exp(1j * np.outer(x, freqs)) @ self.coeffs
+        The eigenvalue nearest the curve value ``lam_ref``; in a cluster
+        that spans both blocks, n >= 0 takes the even (+) block's member
+        and n < 0 the odd (-) one's.
+        """
+        i = self.nearest(lam_ref)
+        if len(self.cluster(i)) == 1:
+            return i
+        if self.is_deficient(i):
+            return None
+        return self.nearest(lam_ref, block=0 if n >= 0 else 1)
 
 
-def _parity_pair(op: TruncatedOperator, n: int, lam_ref: complex
-                 ) -> Tuple[BlochFunction, BlochFunction]:
-    """Band n's member of the two-periodic pair of ``op`` at t = 0 or pi.
+def endpoint_spectrum(pot: MathieuPotential, t: float,
+                      M: int) -> EndpointSpectrum:
+    """The eigenpairs of H_t at t = 0 or +-pi (-pi read as pi) on the
+    window k = -M..M, from its two parity blocks.
 
     The gauge c_k -> s^-k c_k, s = sqrt(a/b), equalizes both couplings to
     g = a/s, after which the matrix commutes with the reflection k -> -k
-    (t = 0) or k -> -1-k (t = pi).  The two pair members live in opposite
-    parity blocks and stay perfectly conditioned even when their splitting
-    is far below double precision.  On the basis (e_k +- e_mirror)/sqrt 2,
-    k >= 0, each block is tridiagonal with coupling g: at t = 0 the even
-    block also holds e_0, coupled to k = 1 by sqrt(2) g; at pi the first
-    diagonal entry gets +-g, and the edge row k = M, which has no mirror,
-    is left out.  n >= 0 takes the even block, n < 0 the odd one.
+    (t = 0) or k -> -1-k (t = pi).  On the basis (e_k +- e_mirror)/sqrt 2,
+    k >= 0, it splits into two tridiagonal blocks with coupling g, each
+    solved once by dense QR: at t = 0 the even block also holds e_0,
+    coupled to k = 1 by sqrt(2) g; at pi the first diagonal entry gets
+    +-g, and the edge row k = M, which has no mirror, is left out (so a
+    truncation too small for its edge leaves the pi pairs uncertified
+    against the M-truncation).  The
+    two members of a two-periodic pair live in opposite blocks and stay
+    perfectly conditioned even when their splitting is far below double
+    precision.  Both blocks are complex symmetric, so a block's left
+    vectors are the conjugates of its right ones, and the adjoint vectors
+    come back through the conjugate gauge conj(s)^k.  A coupling ratio so
+    extreme that the gauge overflows leaves non-finite vectors and
+    residuals.
 
-    A -pi operator is read as pi.  The vectors live on the operator's own
-    Fourier window, and their residuals are taken against the operator.
-    Requires ab != 0.
+    A one-sided truncation (ab = 0) is bidiagonal: its eigenvalues are
+    the diagonal, one block, with the closed-form pairs of ``_one_sided``
+    (zero vectors where that refuses a pair).
     """
-    if op.t < 0:
-        op = op.mirrored()
-    at_pi = op.t != 0.0
+    t = abs(float(t))
+    if t not in (0.0, math.pi):
+        raise ValidationError(f"t={t!r} is not a two-periodic endpoint")
+    op = assemble(pot, t, M)
+    if pot.ab == 0:
+        lam, x, y, res, lres, _ = _one_sided(pot, M, np.array([t]), op.ks)
+        return EndpointSpectrum(t, lam[0], np.zeros(op.size, dtype=int),
+                                x[0], y[0], res[0], lres[0], op.is_hermitian)
+    at_pi = t != 0.0
     s = cmath.sqrt(op.super / op.sub)
-    if abs(math.log(abs(s))) * op.M > 600.0:
-        raise MultipleEigenvalueError(
-            "coupling ratio too extreme for the gauge-symmetrized pair")
     g = op.super / s
-    sign = 1.0 if n >= 0 else -1.0
-    ks = np.arange(1 if n < 0 and not at_pi else 0,
-                   op.M if at_pi else op.M + 1)
-    diag = op.diag[op.M + ks].astype(complex)
-    off = np.full(len(ks) - 1, g)
-    if at_pi:
-        diag[0] += sign * g
-    elif n >= 0:
-        off[0] *= math.sqrt(2.0)
-    w, vr = sla.eig(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    j = int(np.argmin(np.abs(w - lam_ref)))
-    v = np.zeros(op.size, dtype=complex)
-    v[op.M + ks] = vr[:, j] / math.sqrt(2.0)
-    v[op.M + (-1 - ks if at_pi else -ks)] = sign * vr[:, j] / math.sqrt(2.0)
-    if not at_pi and n >= 0:
-        v[op.M] = vr[0, j]                 # e_0 is its own mirror
-    scaling = np.exp(-np.log(s) * op.ks)   # s^-k
-    psi = scaling * v
-    psi /= np.linalg.norm(psi)
-    psi_adj = np.conj(v / scaling)         # conj(s)^k conj(v)
-    psi_adj /= np.linalg.norm(psi_adj)
-    lam = complex(w[j])
-    res = np.linalg.norm(op.apply(psi[:, None])[:, 0] - lam * psi)
-    lres = np.linalg.norm(op.apply(psi_adj[:, None], adjoint=True)[:, 0]
-                          - np.conj(lam) * psi_adj)
-    return (BlochFunction(n, op.t, op.ks, psi, lam, float(res)),
-            BlochFunction(n, op.t, op.ks, psi_adj, lam.conjugate(),
-                          float(lres)))
-
-
-def bloch_function(pot: MathieuPotential, t: float, n: int,
-                   M: Optional[int] = None,
-                   lambda_ref: Optional[complex] = None,
-                   solution: Optional[EigenSolution] = None
-                   ) -> Tuple[BlochFunction, BlochFunction]:
-    """Normalized eigenfunction of band n at quasimomentum t, with partner.
-
-    The partner is the adjoint eigenfunction for the conjugate eigenvalue.
-    A simple eigenvalue is read off the solution (solved at t when none is
-    given).  A clustered, non-deficient one at exactly t = 0 or |t| = pi
-    (ab != 0) is the two-periodic pair, resolved by its parity blocks; -pi
-    is read as pi there.  Raises MultipleEigenvalueError for a deficient or
-    otherwise unresolvable cluster.
-    """
-    if M is None:
-        M = default_m(abs(n) + 2)
-    sol = solution if solution is not None else eig(assemble(pot, t, M))
-    if lambda_ref is None:
-        lambda_ref = free_lambda(n, t)
-    i = sol.nearest(lambda_ref)
-    if len(sol.cluster(i)) > 1:
-        if sol.is_deficient(i):
-            raise MultipleEigenvalueError(
-                f"eigenvalue near {lambda_ref:.6g} at t={t!r} is deficient")
-        if (t == 0.0 or abs(t) == math.pi) and pot.ab != 0:
-            return _parity_pair(sol.op, n, lambda_ref)
-        raise MultipleEigenvalueError(
-            f"eigenvalue near {lambda_ref:.6g} at t={t!r} is clustered "
-            "(gap below the deficiency threshold)")
-    t, ks, lam = float(t), sol.op.ks, complex(sol.lambdas[i])
-    return (BlochFunction(n, t, ks, sol.vectors[:, i], lam,
-                          float(sol.residuals[i])),
-            BlochFunction(n, t, ks, sol.left_vectors[:, i], lam.conjugate(),
-                          float(sol.left_residuals[i])))
+    lams, blocks, vs = [], [], []
+    for block, sign in enumerate((1.0, -1.0)):
+        ks = np.arange(1 if sign < 0 and not at_pi else 0,
+                       M if at_pi else M + 1)
+        diag = op.diag[M + ks].astype(complex)
+        off = np.full(len(ks) - 1, g)
+        if at_pi:
+            diag[0] += sign * g
+        elif sign > 0:
+            off[0] *= math.sqrt(2.0)
+        try:
+            w, vr = sla.eig(np.diag(diag) + np.diag(off, 1)
+                            + np.diag(off, -1))
+        except sla.LinAlgError as exc:
+            raise ConvergenceError(
+                f"parity block did not converge at t={t!r}, M={M}: {exc}"
+            ) from exc
+        v = np.zeros((op.size, len(w)), dtype=complex)
+        v[M + ks] = vr / math.sqrt(2.0)
+        v[M + (-1 - ks if at_pi else -ks)] = sign * vr / math.sqrt(2.0)
+        if not at_pi and sign > 0:
+            v[M] = vr[0]                   # e_0 is its own mirror
+        lams.append(w)
+        blocks.append(np.full(len(w), block))
+        vs.append(v)
+    lam, v = np.concatenate(lams), np.hstack(vs)
+    with np.errstate(all="ignore"):
+        scaling = np.exp(-np.log(s) * op.ks)[:, None]     # s^-k
+        x = scaling * v
+        x /= np.linalg.norm(x, axis=0)
+        y = np.conj(v / scaling)                          # conj(s)^k conj(v)
+        y /= np.linalg.norm(y, axis=0)
+        res = np.linalg.norm(op.apply(x) - x * lam, axis=0)
+        lres = np.linalg.norm(op.apply(y, adjoint=True) - y * np.conj(lam),
+                              axis=0)
+    return EndpointSpectrum(t, lam, np.concatenate(blocks), x, y, res, lres,
+                            op.is_hermitian)
 
 
 # --------------------------------------------------------------------------
@@ -547,8 +397,10 @@ def _eigenvalues(op: TruncatedOperator) -> np.ndarray:
     The tracking hands it the narrow window of ``_window``, not the full
     truncation.  A one-sided (bidiagonal) truncation's eigenvalues are its
     diagonal, which a wider window only extends, so it makes no solve.
-    Hermitian inputs go through the symmetric tridiagonal solver on the
-    gauged matrix (see ``eig``), others through LAPACK's dense QR.  The
+    Hermitian inputs go through the symmetric tridiagonal solver (the
+    unitary gauge c_k -> e^{-i arg(super) k} c_k makes the matrix real
+    symmetric with off-diagonal |super|), others through LAPACK's dense
+    QR.  The
     Hermitian solve keeps its vectors and drops them: MRRR refines the
     eigenvalues only while it computes vectors, and without them the low
     bands come out about 1e-12 relative off, for about 15% less time.
@@ -813,11 +665,13 @@ CLOSED_FORM_PAIRS = 128
 
 def _inverse_iteration(pot: MathieuPotential, M: int, ts: np.ndarray,
                        shifts: np.ndarray, labels: np.ndarray):
-    """Eigenpairs near ``shifts`` of H_t at ``ts`` (>= 0), one pair each.
+    """Eigenpairs near ``shifts`` of H_t at ``ts``, one pair each.
 
-    Each pair solves (H_t - sigma) x = x_prev and (H_t - sigma)^H y =
-    y_prev, starting from e_n + 1 (n its label, so k = n leads as in the
-    free vector), and takes sigma = <y, H x>/<y, x> between sweeps
+    Any t will do: nothing below assumes a sign.  Each pair solves
+    (H_t - sigma) x = x_prev and (H_t - sigma)^H y = y_prev, starting
+    from e_k + 1 with k its entry of ``labels`` (band n's free vector
+    leads at k = n for t >= 0 and at k = -n for t < 0), and takes
+    sigma = <y, H x>/<y, x> between sweeps
     (Ipsen, SIAM Review 39 (1997)).  Hermitian inputs skip the adjoint
     solve: y = x.  Returns (lam, x, y, residual, left residual) with the
     unit vectors as columns; a pair that broke down comes back non-finite.
@@ -874,7 +728,7 @@ def _chain(gap: np.ndarray, coupling: complex) -> np.ndarray:
 
 
 def _one_sided(pot: MathieuPotential, M: int, ts: np.ndarray, labels):
-    """Closed-form eigenpairs of ``labels`` at each t >= 0 of ``ts`` (ab = 0).
+    """Closed-form eigenpairs of ``labels`` at each t of ``ts`` (ab = 0).
 
     The truncation is bidiagonal, so label n's eigenvalue is its diagonal
     entry d_n = (2 pi n + t)^2 and its vectors follow from two-term
@@ -887,8 +741,8 @@ def _one_sided(pot: MathieuPotential, M: int, ts: np.ndarray, labels):
 
     A pair is accepted when it is finite and certified on both sides
     (``_certificate``) and no other diagonal entry is linked to d_n
-    (``_linked`` at ``CLUSTER_RTOL``), which is where the dense route
-    refuses it.  Returns (lam, right, left, res, lres, ok) indexed [node,
+    (``_linked`` at ``CLUSTER_RTOL``): such a cluster within the one
+    bidiagonal block is deficient (see ``EndpointSpectrum``).  Returns (lam, right, left, res, lres, ok) indexed [node,
     label] (vectors [node, :, label]); a refused pair keeps d_n, the
     residuals of its recurrence and zero vectors.
     """
@@ -932,14 +786,11 @@ class BandBatch:
     Arrays are indexed [node, label] (vectors [node, :, label], on the
     solver's Fourier window): ``lam``; the unit right eigenvector ``right``
     and its adjoint partner ``left`` (for conj(lam)); their residual
-    certificates.  ``ok`` is False where the pair was refused: by the dense
-    route (``bloch_function`` raised MultipleEigenvalueError), or, for
-    ab = 0, by the closed form at a linked diagonal entry.  Such a pair
-    keeps the eigenvalue nearest its curve (the label's diagonal entry for
-    ab = 0) and that eigenpair's residuals, and zero vectors.  ``dense``
-    marks the pairs the dense route resolved or refused, so neither batch
-    nor closed-form pairs, and ``dense_solves`` counts the dense
-    eigensolves that took.
+    certificates.  ``ok`` is False where the pair was refused, by the route
+    that resolved it; a refused pair keeps that route's eigenvalue and
+    residuals, and zero vectors.  ``endpoint`` marks the pairs resolved on
+    the parity blocks (t = 0 or +-pi, ab != 0), and ``endpoint_solves``
+    counts the endpoint solves that took, one per node.
     """
 
     t: np.ndarray
@@ -949,19 +800,19 @@ class BandBatch:
     residual: np.ndarray
     left_residual: np.ndarray
     ok: np.ndarray
-    dense: np.ndarray
-    dense_solves: int
+    endpoint: np.ndarray
+    endpoint_solves: int
 
 
 class BandSolver:
     """Labelled Bloch pairs along a set of tracked curves.
 
-    ``bands`` is the one entry: it resolves every (node, band) pair of a
-    node list in one inverse-iteration batch, with the tracked curves as
-    shifts, and sends only the pairs it cannot certify to the dense route,
-    one ``solution`` per node.  A one-sided potential (ab = 0) has its
-    pairs in closed form and makes no eigensolve.  It takes any t in
-    (-pi, pi] and keeps nothing once it returns.
+    ``bands`` is the one entry, and it sends each pair down one route,
+    chosen from the input: the closed form for a one-sided potential
+    (ab = 0), the parity blocks at t = 0 and +-pi (one ``solution`` per
+    node), and one inverse-iteration batch, with the tracked curves as
+    shifts, everywhere else.  It takes any t in (-pi, pi] and keeps
+    nothing once it returns.
     """
 
     def __init__(self, pot: MathieuPotential, curves: BlochCurveSet):
@@ -969,9 +820,9 @@ class BandSolver:
         self.curves = curves
         self.M = curves.M
 
-    def solution(self, t: float) -> EigenSolution:
-        """The dense eigensolve at t, not kept."""
-        return eig(assemble(self.pot, float(t), self.M))
+    def solution(self, t: float) -> EndpointSpectrum:
+        """The endpoint solve at t = 0 or +-pi, not kept."""
+        return endpoint_spectrum(self.pot, t, self.M)
 
     def bands(self, ts, labels) -> BandBatch:
         """Every (t, n) pair of ``ts`` x ``labels``.
@@ -983,24 +834,25 @@ class BandSolver:
         and P conj(v) a left eigenvector of H_{-t} for the same lam, and
         the two residuals trade places.
 
-        The pairs go through ``_inverse_iteration`` in chunks of at most
-        about ``BATCH_PAIRS``, with each band's endpoint partners (-n and
-        -n-1) among the labels and the curve values as shifts (the free
-        values for a partner the curves do not track).  A labelled pair is
-        accepted when it is finite and certified on both sides
-        (``_certificate``, as ``eig``), its eigenvalue is nearer its own
-        shift than any other label's and the nearest of the batch to its
-        shift, and no other label's eigenvalue is linked to it (``_linked``
-        at ``CLUSTER_RTOL``, which also keeps the labels' eigenvalues
-        distinct).  Every other pair takes the dense route:
-        ``bloch_function`` on ``solution(t)`` with the curve value as
-        reference, which refuses a deficient or unresolvable cluster.
-
         A potential with ab = 0, whose bidiagonal eigenvalues sit on exact
-        zero pivots, takes neither: every pair comes from the closed form
-        of ``_one_sided``, in chunks of ``CLOSED_FORM_PAIRS``, which
-        refuses exactly where the dense route does (the label's diagonal
-        entry linked to another).
+        zero pivots, has every pair from the closed form of ``_one_sided``,
+        in chunks of ``CLOSED_FORM_PAIRS``; it refuses a label whose
+        diagonal entry is linked to another.
+
+        Otherwise a node at t = 0 or pi is solved once on its parity
+        blocks (``solution``), and band n takes ``EndpointSpectrum.label``
+        with the curve value as reference, which refuses a deficient
+        cluster.  Every other node goes through ``_inverse_iteration`` in
+        chunks of at most about ``BATCH_PAIRS`` pairs, with each band's
+        endpoint partners (-n and -n-1) among the labels and the curve
+        values as shifts (the free values for a partner the curves do not
+        track).  A batch pair is accepted when its eigenvalue is nearer
+        its own shift than any other label's and the nearest of the batch
+        to its shift, and no other label's eigenvalue is linked to it
+        (``_linked`` at ``CLUSTER_RTOL``, which also keeps the labels'
+        eigenvalues distinct).  Either way a pair must also be finite and
+        certified on both sides (``_certificate``); the batch has no
+        fallback.
         """
         ts = np.asarray(ts, dtype=float)
         ts = np.where(ts == -math.pi, math.pi, ts)
@@ -1014,67 +866,56 @@ class BandSolver:
         lres = np.zeros_like(res)
         ok = np.ones((len(nodes), nl), dtype=bool)
         one_sided = self.pot.ab == 0
-        dense = np.full_like(ok, not one_sided)
+        ends = (((nodes == 0.0) | (nodes == math.pi))
+                & (nl > 0 and not one_sided))
         if nl:
             every = labels if one_sided else sorted(
                 set(labels) | {-n for n in labels} | {-n - 1 for n in labels})
             cols = [every.index(n) for n in labels]
             chunk = CLOSED_FORM_PAIRS if one_sided else BATCH_PAIRS
             step = max(1, chunk // len(every))
-            for lo in range(0, len(nodes), step):
-                part = slice(lo, lo + step)
+            inner = np.flatnonzero(~ends)
+            for lo in range(0, len(inner), step):
+                part = inner[lo:lo + step]
                 got = (_one_sided(self.pot, self.M, nodes[part], every)
                        if one_sided else self._batch(nodes[part], every))
-                lam[part], rr, ll, res[part], lres[part], acc = (
-                    g[..., cols] for g in got)
-                right[part], left[part] = rr, ll
-                if one_sided:
-                    ok[part] = acc
-                else:
-                    dense[part] = ~acc
-        solves = 0
-        for j in np.flatnonzero(dense.any(axis=1)):
+                got = [g[..., cols] for g in got]
+                lam[part], right[part], left[part] = got[:3]
+                res[part], lres[part], ok[part] = got[3:]
+        for j in np.flatnonzero(ends):
             t = float(nodes[j])
-            solves += 1
-            try:
-                sol = self.solution(t)
-            except MultipleEigenvalueError:
-                lam[j, dense[j]] = res[j, dense[j]] = lres[j, dense[j]] = np.nan
-                ok[j, dense[j]] = False
-                continue
-            for r in np.flatnonzero(dense[j]):
-                ref = self.curves.value(labels[r], t)
-                try:
-                    primal, partner = bloch_function(
-                        self.pot, t, labels[r], M=self.M, lambda_ref=ref,
-                        solution=sol)
-                except MultipleEigenvalueError:
-                    i = sol.nearest(ref)
-                    lam[j, r], res[j, r], lres[j, r] = (
-                        sol.lambdas[i], sol.residuals[i],
-                        sol.left_residuals[i])
-                    right[j, :, r] = left[j, :, r] = 0.0
-                    ok[j, r] = False
-                    continue
+            sol = self.solution(t)
+            cert = _certificate(_scale(self.pot, t, self.M))
+            for r, n in enumerate(labels):
+                ref = self.curves.value(n, t)
+                i = sol.label(n, ref)
+                if i is None:
+                    i, ok[j, r] = sol.nearest(ref), False
                 lam[j, r], res[j, r], lres[j, r] = (
-                    primal.lam, primal.residual, partner.residual)
-                right[j, :, r], left[j, :, r] = primal.coeffs, partner.coeffs
+                    sol.lambdas[i], sol.residuals[i], sol.left_residuals[i])
+                ok[j, r] &= bool(res[j, r] <= cert and lres[j, r] <= cert)
+                if ok[j, r]:
+                    right[j, :, r] = sol.vectors[:, i]
+                    left[j, :, r] = sol.left_vectors[:, i]
+        endpoint = np.repeat(ends[:, None], nl, axis=1)
         if not np.array_equal(nodes, ts):
             # back to the requested nodes, reflecting t < 0
             neg = ts < 0
-            lam, ok, dense = lam[back], ok[back], dense[back]
+            lam, ok, endpoint = lam[back], ok[back], endpoint[back]
             right, left = right[back], left[back]
             right[neg], left[neg] = (np.conj(left[neg, ::-1]),
                                      np.conj(right[neg, ::-1]))
             res, lres = res[back], lres[back]
             res[neg], lres[neg] = lres[neg], res[neg]
         return BandBatch(t=ts, lam=lam, right=right, left=left,
-                         residual=res, left_residual=lres, ok=ok, dense=dense,
-                         dense_solves=solves)
+                         residual=res, left_residual=lres, ok=ok,
+                         endpoint=endpoint,
+                         endpoint_solves=int(np.sum(ends)))
 
     def _batch(self, nodes: np.ndarray, every: List[int]):
         """(lam, right, left, res, lres, accepted) of ``every`` label at
-        each node t >= 0 from one inverse-iteration batch."""
+        each node 0 < t < pi from one inverse-iteration batch; a refused
+        pair's vectors are zero."""
         tracked = self.curves.curves
         grid = self.curves.t_samples
         shifts = np.stack([
@@ -1086,8 +927,6 @@ class BandSolver:
             self.pot, self.M, np.repeat(nodes, nl), shifts.ravel(),
             np.tile(every, nn))
         lam, res, lres = (g.reshape(nn, nl) for g in (lam, res, lres))
-        right = x.T.reshape(nn, nl, -1).transpose(0, 2, 1)
-        left = y.T.reshape(nn, nl, -1).transpose(0, 2, 1)
         cert = _certificate(_scale(self.pot, nodes, self.M))[:, None]
         off = ~np.eye(nl, dtype=bool)
         with np.errstate(invalid="ignore"):
@@ -1103,6 +942,9 @@ class BandSolver:
                         & (own < np.where(off, dist.transpose(0, 2, 1),
                                           np.inf).min(axis=2))
                         & ~np.any(links & off, axis=2))
+        x[:, ~accepted.ravel()] = y[:, ~accepted.ravel()] = 0.0
+        right = x.T.reshape(nn, nl, -1).transpose(0, 2, 1)
+        left = y.T.reshape(nn, nl, -1).transpose(0, 2, 1)
         return lam, right, left, res, lres, accepted
 
     @property

@@ -287,11 +287,11 @@ def detect_singularities(pot: MathieuPotential, window: Tuple[float, float],
     """Spectral singularities and ESS inside the window.
 
     Critical points with real quasimomentum are the candidates.  The
-    two-periodic ones are cross-checked against the endpoint matrix
-    spectra: a candidate with no matching eigenvalue cluster there is
-    re-classified interior; clustered ones get the geometric-multiplicity
-    verdict, and deficient ones become ESS once the local integral of
-    |d_n|^-1 is seen to diverge.
+    two-periodic ones are cross-checked against the endpoint spectra
+    (``floquet.endpoint_spectrum``): a candidate with no matching
+    eigenvalue cluster there is re-classified interior; a cluster within
+    one parity block is deficient, and those become ESS, with the local
+    integral of |d_n|^-1 recorded as evidence.
 
     Returns (singularities, ess_records).
     """
@@ -304,9 +304,8 @@ def detect_singularities(pot: MathieuPotential, window: Tuple[float, float],
 
     def endpoint_solution(at_pi: bool):
         if at_pi not in endpoint_cache:
-            M = flq.default_m(n_hint + 2)
-            endpoint_cache[at_pi] = flq.eig(
-                flq.assemble(pot, math.pi if at_pi else 0.0, M))
+            endpoint_cache[at_pi] = flq.endpoint_spectrum(
+                pot, math.pi if at_pi else 0.0, flq.default_m(n_hint + 2))
         return endpoint_cache[at_pi]
 
     for cp in cps:

@@ -198,6 +198,36 @@ class TestCommands:
         names = {c["name"] for c in payload["checks"]}
         assert {"wronskian-certificate", "ode-error-estimate"} <= names
 
+    @pytest.mark.parametrize("a, b", [("0", "1"), ("1", "0"), ("1", "2"),
+                                      ("2", "0+1.6i")])
+    def test_verify_lists_dn_symmetry(self, tmp_path, a, b):
+        # the direct solve at -t always leaves a row: a pair it cannot
+        # certify is a FAIL row, never a missing one
+        rc = main(["verify", "--a", a, "--b", b, "--out", str(tmp_path)])
+        payload = json.loads((tmp_path / "verify.json").read_text())
+        rows = [c for c in payload["checks"] if c["name"] == "dn-symmetry"]
+        assert rc == 0 and payload["all_pass"]
+        assert len(rows) == 1 and rows[0]["pass"]
+
+    def test_verify_uncertified_direct_pair_fails(self, tmp_path,
+                                                  monkeypatch):
+        from mathieuspec import floquet as flq
+        real = flq._inverse_iteration
+
+        def broken(pot, M, ts, *rest):
+            lam, x, y, res, lres = real(pot, M, ts, *rest)
+            if ts[0] < 0:       # only the direct solve at -t breaks down
+                lam, res = lam * math.nan, res * math.nan
+            return lam, x, y, res, lres
+
+        monkeypatch.setattr(flq, "_inverse_iteration", broken)
+        rc = main(["verify", "--a", "1", "--b", "2", "--out", str(tmp_path)])
+        payload = json.loads((tmp_path / "verify.json").read_text())
+        rows = [c for c in payload["checks"] if c["name"] == "dn-symmetry"]
+        assert rc == 2 and not payload["all_pass"]
+        assert len(rows) == 1 and not rows[0]["pass"]
+        assert "not certified" in rows[0]["detail"]
+
     def test_negative_amplitude_literal(self, tmp_path):
         rc = main(["classify", "--a", "-0.5+0.5i", "--b", "1",
                    "--out", str(tmp_path)])

@@ -9,8 +9,6 @@ from mathieuspec import (ExpansionPlan, FormMismatchError, MathieuPotential,
                          SimplenessError, TestFunction, ValidationError,
                          bloch_coefficient, coefficient_from_vectors,
                          make_plan, make_solver, reconstruct)
-from mathieuspec import floquet as flq
-from mathieuspec.floquet import _parity_pair
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
@@ -89,10 +87,10 @@ class TestCoefficients:
             for n in ns:
                 ref = solver.curves.value(n, t)
                 assert len(sol.cluster(sol.nearest(ref))) > 1
-                c, c_adj = _parity_pair(sol.op, n, ref)
-                fhat = f.transform(TWO_PI * c.ks + t)
-                want = (np.vdot(c_adj.coeffs, fhat)
-                        / np.vdot(c_adj.coeffs, c.coeffs))
+                i = sol.label(n, ref)
+                c, c_adj = sol.vectors[:, i], sol.left_vectors[:, i]
+                fhat = f.transform(TWO_PI * solver.ks + t)
+                want = np.vdot(c_adj, fhat) / np.vdot(c_adj, c)
                 got = bloch_coefficient(solver.pot, f, n, t, solver=solver)
                 assert got == pytest.approx(want, rel=1e-12)
 
@@ -224,34 +222,34 @@ class TestReconstruction:
 
     def test_report_counts_the_dense_route(self):
         # ab = 0: every pair comes from the closed form, which counts with
-        # the batch, and the dense route solves nothing
+        # the batch, and the endpoint route solves nothing
         pot = MathieuPotential(0, 0)
         plan = ExpansionPlan(form="Elegant", n_max=4, allow_mismatch=True)
         rep = reconstruct(pot, TestFunction("gaussian"), plan, [0.0],
                           solver=make_solver(pot, 5))
         d = rep.to_dict()
         assert d["batch_pairs"] == (2 * 192) * 9
-        assert d["dense_fallbacks"] == 0
-        assert d["dense_solves"] == 0
+        assert d["endpoint_pairs"] == 0
+        assert d["endpoint_solves"] == 0
+        assert "dense_fallbacks" not in d and "dense_solves" not in d
 
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """Counts dense eigensolves: the package's ``eig`` and LAPACK's."""
+    """Counts LAPACK's dense eigensolves with vectors."""
     calls = []
-    for owner, name in ((flq, "eig"), (sla, "eig")):
-        real = getattr(owner, name)
+    real = sla.eig
 
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append("eig")
+        return real(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, counted)
+    monkeypatch.setattr(sla, "eig", counted)
     return calls
 
 
 class TestFastPath:
-    """Counts, not timings: the batch keeps dense solves off the path."""
+    """Counts, not timings: the batch makes no dense solve."""
 
     @pytest.mark.parametrize("name", ["bench-eq", "bench-un"])
     def test_reconstruct_solves_only_rejected_nodes(self, pots, name,
@@ -263,8 +261,8 @@ class TestFastPath:
         assert eig_calls == []
         rep = reconstruct(pot, TestFunction("gaussian"), plan,
                           np.linspace(-2.0, 2.0, 9), solver=solver)
-        # one package and one LAPACK call per node the batch rejected
-        assert len(eig_calls) == 2 * rep.dense_solves
-        assert rep.dense_solves == rep.dense_fallbacks == 0
+        # the quadrature never sits on t = 0 or pi: no parity blocks
+        assert eig_calls == []
+        assert rep.endpoint_solves == rep.endpoint_pairs == 0
         assert rep.batch_pairs == (2 * 192) * 9
         assert rep.skipped_nodes == 0

@@ -10,17 +10,20 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mathieuspec import (BandSolver, BlochFunction, MathieuPotential,
+from mathieuspec import (BandSolver, MathieuPotential,
                          MultipleEigenvalueError, ValidationError, assemble,
-                         bloch_function, default_grid, dn_profile, eig,
-                         free_lambda, fundamental_solutions, make_solver,
-                         track_curves)
+                         default_grid, detect_singularities, dn_profile,
+                         endpoint_spectrum, free_lambda,
+                         fundamental_solutions, make_solver, track_curves)
 from mathieuspec import floquet as flq
-from mathieuspec.floquet import (CLUSTER_RTOL, GM_RTOL, _component,
-                                 _parity_pair, default_m, stable_m)
+from mathieuspec.floquet import CLUSTER_RTOL, default_m, stable_m
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
+
+#: The singular-value cutoff of the dense geometric-multiplicity count
+#: that the endpoint verdicts are checked against.
+GM_RTOL = 1e-8
 
 
 class TestAssemble:
@@ -70,14 +73,23 @@ class TestAssemble:
 
 
 class TestEig:
+    """The endpoint eigensolve: ``endpoint_spectrum`` at t = 0 and pi."""
+
     def test_free_exact(self):
-        op = assemble(MathieuPotential(0, 0), 0.3, 8)
-        sol = eig(op)
-        assert np.max(sol.residuals) == 0.0
-        assert sorted(sol.lambdas.real) == pytest.approx(sorted(op.diag), abs=0)
+        pot = MathieuPotential(0, 0)
+        for t in (0.0, PI):
+            op = assemble(pot, t, 8)
+            sol = endpoint_spectrum(pot, t, 8)
+            assert np.max(sol.residuals) == 0.0
+            assert sorted(sol.lambdas.real) == pytest.approx(sorted(op.diag),
+                                                             abs=0)
+
+    def test_interior_t_rejected(self):
+        with pytest.raises(ValidationError):
+            endpoint_spectrum(MathieuPotential(1, 2), 0.5, 8)
 
     def test_triangular_doubles_deficient(self):
-        sol = eig(assemble(MathieuPotential(0, 1), 0.0, 24))
+        sol = endpoint_spectrum(MathieuPotential(0, 1), 0.0, 24)
         for n in range(1, 7):
             lam = (TWO_PI * n) ** 2
             idx = np.argsort(np.abs(sol.lambdas - lam))[:2]
@@ -86,65 +98,89 @@ class TestEig:
             assert _flags(sol)[idx].all()
 
     def test_free_doubles_not_deficient(self):
-        sol = eig(assemble(MathieuPotential(0, 0), 0.0, 12))
+        sol = endpoint_spectrum(MathieuPotential(0, 0), 0.0, 12)
+        assert len(_clusters(sol)) == 12
         assert not _flags(sol).any()
 
     def test_left_vectors_solve_adjoint(self):
-        # the self-adjoint input takes the gauge-transformed Hermitian path;
-        # the dense matrix certifies both paths independently of the
-        # residuals eig computes itself
+        # the dense matrix certifies both blocks' vectors independently of
+        # the residuals endpoint_spectrum computes itself
         for pot in (MathieuPotential(1, 2),
                     MathieuPotential(1 + 0.5j, 1 - 0.5j)):
-            op = assemble(pot, 0.8, 12)
-            sol = eig(op)
-            a = op.to_dense()
-            i = sol.nearest((TWO_PI * 3 + 0.8) ** 2)
-            lam = sol.lambdas[i]
-            v = sol.vectors[:, i]
-            w = sol.left_vectors[:, i]
-            res = np.linalg.norm(a @ v - lam * v)
-            lres = np.linalg.norm(a.conj().T @ w - np.conj(lam) * w)
-            assert res <= 1e-8 * op.scale
-            assert lres <= 1e-8 * op.scale
-            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+            for t in (0.0, PI):
+                op = assemble(pot, t, 12)
+                sol = endpoint_spectrum(pot, t, 12)
+                a = op.to_dense()
+                for n in (3, -4):
+                    i = sol.nearest(free_lambda(n, t))
+                    lam = sol.lambdas[i]
+                    v = sol.vectors[:, i]
+                    w = sol.left_vectors[:, i]
+                    res = np.linalg.norm(a @ v - lam * v)
+                    lres = np.linalg.norm(a.conj().T @ w - np.conj(lam) * w)
+                    assert res <= 1e-8 * op.scale
+                    assert lres <= 1e-8 * op.scale
+                    assert abs(res - sol.residuals[i]) <= 1e-12 * op.scale
+                    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
     def test_hermitian_deficiency_matches_svd(self):
         # a Hermitian matrix is never defective: no self-adjoint cluster is
         # flagged, and the dense singular values of A - mean I confirm a
-        # full eigenspace within the cluster's own spread
+        # full eigenspace within the cluster's own spread, below half the
+        # window (the pi blocks leave out the edge row k = M)
         clusters = 0
         for pot in (MathieuPotential(0.5, 0.5),
                     MathieuPotential(0.4 + 0.3j, 0.4 - 0.3j),
                     MathieuPotential(1 + 0.5j, 1 - 0.5j),
                     MathieuPotential(2, 2)):
-            for t in (0.0, PI, 1e-9, PI - 1e-9):
+            for t in (0.0, PI):
                 for m in (12, 24, 40):
                     op = assemble(pot, t, m)
                     assert op.is_hermitian
-                    sol = eig(op)
+                    sol = endpoint_spectrum(pot, t, m)
                     assert not _flags(sol).any()
                     a = op.to_dense()
                     for cl in _clusters(sol):
                         mean = sol.lambdas[cl].mean()
+                        if abs(mean) >= (PI * m) ** 2:
+                            continue
+                        clusters += 1
                         sv = np.linalg.svd(a - mean * np.eye(len(a)),
                                            compute_uv=False)
                         spread = np.max(np.abs(sol.lambdas[cl] - mean))
                         tol = spread + GM_RTOL * max(op.scale, 1.0)
                         assert np.sum(sv <= tol) >= len(cl)
-                    clusters += len(_clusters(sol))
         assert clusters > 100
 
     def test_unit_norm(self):
-        sol = eig(assemble(MathieuPotential(1 - 0.3j, 0.4), 1.2, 10))
-        norms = np.linalg.norm(sol.vectors, axis=0)
-        assert np.allclose(norms, 1.0, atol=1e-12)
+        for t in (0.0, PI):
+            sol = endpoint_spectrum(MathieuPotential(1 - 0.3j, 0.4), t, 10)
+            for vecs in (sol.vectors, sol.left_vectors):
+                assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0,
+                                   atol=1e-12)
 
     def test_matches_discriminant_root(self):
         # lowest eigenvalue of (1,1) at t=0 vs the ODE-based root of F = 2
         pot = MathieuPotential(1, 1)
-        sol = eig(assemble(pot, 0.0, 20))
+        sol = endpoint_spectrum(pot, 0.0, 20)
         lam0 = sol.lambdas[np.argmin(sol.lambdas.real)]
         assert abs(fundamental_solutions(pot, lam0).f - 2.0) <= 1e-8
+
+
+def _clusters(sol):
+    """The clusters of more than one eigenvalue, each listed once, read
+    one eigenvalue at a time through ``cluster``."""
+    found = {}
+    for i in range(len(sol.lambdas)):
+        cl = sol.cluster(i).tolist()
+        found.setdefault(cl[0], cl)
+    return [cl for cl in found.values() if len(cl) > 1]
+
+
+def _flags(sol):
+    """``is_deficient`` for every eigenvalue."""
+    return np.array([sol.is_deficient(i) for i in range(len(sol.lambdas))],
+                    dtype=bool)
 
 
 def _union_find_clusters(lams, rtol):
@@ -172,9 +208,8 @@ def _union_find_clusters(lams, rtol):
 
 
 def _cluster_indices(lams, rtol):
-    """Reference: the eager all-pairs grouping eig ran on every solve
-    before the cluster question went per eigenvalue.  Each group is sorted
-    and listed by its smallest index."""
+    """Reference: an eager all-pairs grouping.  Each group is sorted and
+    listed by its smallest index."""
     lams = np.asarray(lams)
     n = len(lams)
     mag = np.abs(lams)
@@ -204,25 +239,9 @@ def _by_index(groups, n):
     return of
 
 
-def _components(lams):
-    """``_component`` asked for every index."""
-    return [_component(lams, i, CLUSTER_RTOL) for i in range(len(lams))]
-
-
-def _clusters(sol):
-    """The clusters of more than one eigenvalue, listed by smallest index,
-    read one eigenvalue at a time through ``cluster``."""
-    found = {}
-    for i in range(len(sol.lambdas)):
-        cl = sol.cluster(i)
-        found.setdefault(cl[0], cl)
-    return [cl for cl in found.values() if len(cl) > 1]
-
-
-def _flags(sol):
-    """``is_deficient`` for every eigenvalue."""
-    return np.array([sol.is_deficient(i) for i in range(len(sol.lambdas))],
-                    dtype=bool)
+def _components(cluster, lams):
+    """``cluster`` asked for every index."""
+    return [cluster(lams, i) for i in range(len(lams))]
 
 
 @st.composite
@@ -242,7 +261,12 @@ def _near_duplicate_spectra(draw):
 
 
 class TestClusterIndices:
-    def test_random_near_duplicates(self):
+    """The single-linkage clusters of the dense reference
+    (``dense_cluster``, which decides the clustered pairs the batch and
+    the endpoint blocks are compared against) against two independent
+    groupings."""
+
+    def test_random_near_duplicates(self, dense_cluster):
         rng = np.random.default_rng(11)
         for _ in range(300):
             n = int(rng.integers(1, 50))
@@ -255,16 +279,16 @@ class TestClusterIndices:
             lams[dst] = lams[src] * (1.0 + CLUSTER_RTOL * kick)
             want = _union_find_clusters(lams, CLUSTER_RTOL)
             assert _cluster_indices(lams, CLUSTER_RTOL) == want
-            assert _components(lams) == _by_index(want, n)
+            assert _components(dense_cluster, lams) == _by_index(want, n)
 
     @given(_near_duplicate_spectra())
     @settings(max_examples=200, deadline=None)
-    def test_component_matches_eager_grouping(self, lams):
+    def test_component_matches_eager_grouping(self, dense_cluster, lams):
         want = _by_index(_cluster_indices(lams, CLUSTER_RTOL), len(lams))
         for i in range(len(lams)):
-            assert _component(lams, i, CLUSTER_RTOL) == want[i]
+            assert dense_cluster(lams, i) == want[i]
 
-    def test_transitive_chains(self):
+    def test_transitive_chains(self, dense_cluster):
         # a-b and b-c are linked but |a - c| >= tol: one cluster
         for base in (1e-2, 1.0, 37.5, 1e4):
             tol = CLUSTER_RTOL * (1.0 + base)
@@ -272,46 +296,52 @@ class TestClusterIndices:
             lams = np.array([base + 3.0 * step, base, base + 5.0 * tol,
                              base + step, base + 2.0 * step], dtype=complex)
             assert abs(lams[1] - lams[0]) >= tol
-            got = _components(lams)
+            got = _components(dense_cluster, lams)
             assert got == _by_index(_union_find_clusters(lams, CLUSTER_RTOL),
                                     len(lams))
             chain = [0, 1, 3, 4]
             assert got == [chain, chain, [2], chain, chain]
 
-    def test_magnitude_range(self):
+    def test_magnitude_range(self, dense_cluster):
         mags = np.logspace(-2, 4, 25)
         lams = np.concatenate([mags, mags * (1.0 + 0.5 * CLUSTER_RTOL),
                                mags * (1.0 + 3.0 * CLUSTER_RTOL) + 1j * mags])
-        got = _components(lams)
+        got = _components(dense_cluster, lams)
         assert got == _by_index(_union_find_clusters(lams, CLUSTER_RTOL),
                                 len(lams))
         assert len({tuple(g) for g in got if len(g) > 1}) == len(mags)
 
-    def test_empty_and_single(self):
-        assert _components(np.array([], dtype=complex)) == []
-        assert _component(np.array([2.0 + 0j]), 0, CLUSTER_RTOL) == [0]
+    def test_empty_and_single(self, dense_cluster):
+        assert _components(dense_cluster, np.array([], dtype=complex)) == []
+        assert dense_cluster(np.array([2.0 + 0j]), 0) == [0]
 
 
-def _eager_flags(sol):
-    """Reference: the eager grouping and per-cluster loop eig ran on every
-    solve before the cluster question went per eigenvalue."""
-    op, w = sol.op, sol.lambdas
+def _svd_verdicts(pot, t, m):
+    """Reference: per eigenvalue of a dense solve at t, (cluster size,
+    deficient) from the single-linkage cluster and the singular values of
+    A - mean I, with the bidiagonal and Hermitian rules (the verdict the
+    package took before the endpoints had their parity blocks)."""
+    op = assemble(pot, t, m)
     dense = op.to_dense()
-    flags = np.zeros(len(w), dtype=bool)
-    bidiagonal = (op.super == 0) != (op.sub == 0)
-    for cl in _cluster_indices(w, CLUSTER_RTOL):
+    w = sla.eigvals(dense)
+    mag = np.abs(w)
+    close = (np.abs(w[:, None] - w[None, :])
+             < CLUSTER_RTOL * (1.0 + np.minimum(mag[:, None], mag[None, :])))
+    out = []
+    for i in range(len(w)):
+        cl = np.flatnonzero(close[i])
         if len(cl) < 2:
-            continue
-        if bidiagonal:
-            flags[cl] = True
-            continue
-        if op.is_hermitian:
-            continue
-        mean = w[cl].mean()
-        sv = np.linalg.svd(dense - mean * np.eye(len(w)), compute_uv=False)
-        if int(np.sum(sv < GM_RTOL * max(op.scale, 1.0))) < len(cl):
-            flags[cl] = True
-    return flags
+            out.append((1, False))
+        elif (op.super == 0) != (op.sub == 0):
+            out.append((len(cl), True))
+        elif op.is_hermitian:
+            out.append((len(cl), False))
+        else:
+            sv = np.linalg.svd(dense - w[cl].mean() * np.eye(len(w)),
+                               compute_uv=False)
+            out.append((len(cl), bool(np.sum(sv < GM_RTOL * max(
+                op.scale, 1.0)) < len(cl))))
+    return w, out
 
 
 @pytest.fixture
@@ -330,22 +360,24 @@ def svd_count(monkeypatch):
 
 class TestOnDemandDeficiency:
     def test_matches_eager_loop(self):
-        rng = np.random.default_rng(3)
+        # the block-membership verdict against the dense SVD count, and
+        # the cluster sizes, below half the window (the edge rows differ:
+        # the pi blocks leave out k = M)
         kinds = set()
         for pot in (MathieuPotential(1 + 0.5j, 1 - 0.5j),   # Hermitian
                     MathieuPotential(1, 2), MathieuPotential(1, -1),
                     MathieuPotential(0, 1), MathieuPotential(1.5, 0)):
-            for t in (0.0, PI, 1e-9, PI - 1e-9):
+            for t in (0.0, PI):
                 for m in (12, 24):
-                    sol = eig(assemble(pot, t, m))
-                    want = _eager_flags(sol)
-                    # ask in a random order first: a verdict must not
-                    # depend on which member of its cluster asked
-                    for i in rng.permutation(len(sol.lambdas))[:10]:
-                        assert sol.is_deficient(int(i)) == want[i]
-                    assert np.array_equal(_flags(sol), want)
+                    sol = endpoint_spectrum(pot, t, m)
+                    w, want = _svd_verdicts(pot, t, m)
+                    for i in np.flatnonzero(np.abs(sol.lambdas)
+                                            < (PI * m) ** 2):
+                        j = int(np.argmin(np.abs(w - sol.lambdas[i])))
+                        assert (len(sol.cluster(i)),
+                                sol.is_deficient(int(i))) == want[j]
                     if _clusters(sol):
-                        kinds.add(bool(want.any()))
+                        kinds.add(bool(_flags(sol).any()))
         assert kinds == {True, False}
 
     def test_tracking_makes_no_svd(self, svd_count):
@@ -353,24 +385,22 @@ class TestOnDemandDeficiency:
                      n_range=range(-3, 4))
         assert svd_count == []
 
-    def test_one_svd_per_cluster(self, svd_count):
+    def test_endpoint_pairs_make_no_svd(self, svd_count):
         solver = make_solver(MathieuPotential(1, 2), 2)
-        assert svd_count == []
         sol = solver.solution(0.0)
         i = sol.nearest(solver.curves.value(2, 0.0))
-        assert len(sol.cluster(i)) > 1
-        # (2, -2) share one cluster at t = 0; it is not deficient, so each
-        # band resolves as its member of the two-periodic pair, and one
-        # call asks the verdict once
+        assert len(sol.cluster(i)) > 1 and not sol.is_deficient(i)
+        # (2, -2) share one cluster at t = 0; it spans both parity blocks,
+        # so each band resolves as its member of the two-periodic pair
         got = solver.bands([0.0], [2, -2])
-        assert got.ok.all() and got.dense.all()
-        assert len(svd_count) == 1
+        assert got.ok.all() and got.endpoint.all()
+        assert got.endpoint_solves == 1
         # (2, -3) share one at t = pi, and -pi, read as pi, is the same
         # node of the same call
         got = solver.bands([PI, -PI, PI], [2, -3])
         assert np.array_equal(got.t, [PI, PI, PI])
-        assert got.ok.all() and got.dense_solves == 1
-        assert len(svd_count) == 2
+        assert got.ok.all() and got.endpoint_solves == 1
+        assert svd_count == []
 
 
 REFLECTION_POTS = {
@@ -390,7 +420,7 @@ def _band_or_none(solve, *args, **kwargs):
 
 class TestReflection:
     @pytest.mark.parametrize("name", sorted(REFLECTION_POTS))
-    def test_matches_direct_solve(self, name):
+    def test_matches_direct_solve(self, direct_band, dense_lambdas, name):
         pot = REFLECTION_POTS[name]
         eps = np.finfo(float).eps
         for m in (12, 32):
@@ -399,13 +429,11 @@ class TestReflection:
             for t in (0.37, 1.9, 1e-9, PI - 1e-9):
                 op = assemble(pot, -t, m)
                 scale = op.scale
-                lams = solver.solution(t).lambdas
+                lams = dense_lambdas(pot, m, t)
                 got = solver.bands([-t], range(-3, 4))
                 assert got.t[0] == -t
                 for r, n in enumerate(range(-3, 4)):
-                    direct = _band_or_none(
-                        bloch_function, pot, -t, n, M=m,
-                        lambda_ref=solver.curves.value(n, -t))
+                    direct = _band_or_none(direct_band, solver, -t, n)
                     # a band the direct solve refuses is refused here too
                     assert (not got.ok[0, r]) == (direct is None)
                     if direct is None:
@@ -431,16 +459,16 @@ class TestReflection:
 
     def test_solver_reflects_negative_t(self, monkeypatch):
         # one bands([t, -t]) call resolves the node |t| once, on the batch
-        # (two-sided) or the closed form (one-sided), with no dense solve,
-        # and reads the -t pairs off the t pairs by reflection, entry for
-        # entry
+        # (two-sided) or the closed form (one-sided), with no endpoint
+        # solve, and reads the -t pairs off the t pairs by reflection,
+        # entry for entry
         solves, batches, closed = [], [], []
-        real_eig, real_batch = flq.eig, flq._inverse_iteration
+        real_end, real_batch = flq.endpoint_spectrum, flq._inverse_iteration
         real_closed = flq._one_sided
 
-        def counted_eig(op):
-            solves.append(op.t)
-            return real_eig(op)
+        def counted_end(pot, t, M):
+            solves.append(t)
+            return real_end(pot, t, M)
 
         def counted_batch(pot, M, ts, *rest):
             batches.append(ts)
@@ -450,7 +478,7 @@ class TestReflection:
             closed.append(ts)
             return real_closed(pot, M, ts, *rest)
 
-        monkeypatch.setattr(flq, "eig", counted_eig)
+        monkeypatch.setattr(flq, "endpoint_spectrum", counted_end)
         monkeypatch.setattr(flq, "_inverse_iteration", counted_batch)
         monkeypatch.setattr(flq, "_one_sided", counted_closed)
         for pot, route in ((MathieuPotential(1, 2), batches),
@@ -462,7 +490,7 @@ class TestReflection:
             closed.clear()
             got = solver.bands([t, -t], [2, -1])
             assert len(batches) + len(closed) == len(route) == 1
-            assert solves == [] and got.dense_solves == 0
+            assert solves == [] and got.endpoint_solves == 0
             assert all(np.all(ts == t) for ts in route)
             assert np.array_equal(got.t, [t, -t])
             assert got.ok.all()
@@ -484,7 +512,8 @@ class TestBandEdgeInputs:
                      st.floats(-PI, PI, exclude_min=True)),
            st.integers(-4, 4))
     @settings(max_examples=60, deadline=None)
-    def test_certified_pair_or_refusal(self, solvers, klass, t, n):
+    def test_certified_pair_or_refusal(self, solvers, direct_band,
+                                       dense_lambdas, klass, t, n):
         solver = solvers(f"bench-{klass}", n_max=3)
         got = solver.bands([t, -t], [n])
         if not got.ok[0, 0]:
@@ -500,25 +529,23 @@ class TestBandEdgeInputs:
         if t == 0.0 or abs(t) == PI:
             return
         # the other sign: read through the reflection, or solved directly
-        direct = _band_or_none(bloch_function, solver.pot, -t, n,
-                               M=solver.M,
-                               lambda_ref=solver.curves.value(n, -t))
+        direct = _band_or_none(direct_band, solver, -t, n)
         assert (not got.ok[1, 0]) == (direct is None)
         if direct is None:
             return
         assert abs(got.lam[1, 0] - direct[0].lam) <= 1e-12 * op.scale
         d_ref = abs(np.vdot(got.left[1, :, 0], got.right[1, :, 0]))
         d_dir = abs(np.vdot(direct[1].coeffs, direct[0].coeffs))
-        lams = solver.solution(abs(t)).lambdas
+        lams = dense_lambdas(solver.pot, solver.M, abs(t))
         gap = np.partition(np.abs(lams - lam), 1)[1]
         assert abs(d_ref - d_dir) <= max(
             1e-10, np.finfo(float).eps * op.scale / gap)
 
 
 def test_eigen_solutions_read_only_in_floquet():
-    # every other module gets a band's vectors from BandSolver.bands or
-    # bloch_function, no module branches on a band-status string, and the
-    # cluster question is asked per eigenvalue (cluster, is_deficient)
+    # every other module gets a band's vectors from BandSolver.bands, no
+    # module branches on a band-status string, and the cluster question is
+    # asked per eigenvalue (cluster, is_deficient)
     vectors = re.compile(r"\.(left_)?vectors\b")
     status = re.compile(r"[\"'](simple|clustered|deficient)[\"']")
     eager = re.compile(r"\.clusters\b|cluster_of\(|is_clustered\(|"
@@ -552,14 +579,13 @@ class TestAdjoint:
 
     def test_conjugate_eigenvalues(self):
         pot = MathieuPotential(1, 2)
-        s1 = eig(assemble(pot, 0.6, 16))
-        s2 = eig(assemble(pot.adjoint(), 0.6, 16))
-        for lam in s1.lambdas:
-            assert np.min(np.abs(s2.lambdas - np.conj(lam))) <= 1e-9 * (
-                1 + abs(lam))
+        s1 = sla.eigvals(assemble(pot, 0.6, 16).to_dense())
+        s2 = sla.eigvals(assemble(pot.adjoint(), 0.6, 16).to_dense())
+        for lam in s1:
+            assert np.min(np.abs(s2 - np.conj(lam))) <= 1e-9 * (1 + abs(lam))
 
     def test_gasymov_adjoint_triangular(self):
-        s2 = eig(assemble(MathieuPotential(0, 1).adjoint(), 0.0, 16))
+        s2 = endpoint_spectrum(MathieuPotential(0, 1).adjoint(), 0.0, 16)
         lam = (TWO_PI * 2) ** 2
         idx = np.argsort(np.abs(s2.lambdas - lam))[:2]
         assert np.all(np.abs(s2.lambdas[idx] - lam) <= 1e-9 * (1 + lam))
@@ -586,8 +612,8 @@ class TestTracking:
         for t in (0.31, 1.7, 2.9):
             j = np.argmin(np.abs(curves.t_samples - t))
             tt = curves.t_samples[j]
-            sol = eig(assemble(curves.pot, -tt, curves.M))
-            lam = sol.lambdas[sol.nearest(curves.curves[5][j])]
+            w = sla.eigvals(assemble(curves.pot, -tt, curves.M).to_dense())
+            lam = w[np.argmin(np.abs(w - curves.curves[5][j]))]
             assert abs(lam - curves.curves[5][j]) <= 1e-9 * (1 + abs(lam))
 
     def test_pairing_bookkeeping(self, solvers):
@@ -780,152 +806,138 @@ class TestTrackingWindow:
             flq._assign(np.zeros(3, dtype=complex), np.ones(2, dtype=complex))
 
 
+def _band(solver, t, n):
+    """Band n's (ok, right vector, left vector) at t from ``bands``."""
+    got = solver.bands([t], [n])
+    return got.ok[0, 0], got.right[0, :, 0], got.left[0, :, 0]
+
+
+def _coeff(solver, c, k):
+    """The coefficient at Fourier index k of a vector on the solver's
+    window."""
+    return c[k + solver.M] if abs(k) <= solver.M else 0.0
+
+
+def _mirror(n, t):
+    """The partner index of k = n: -n for |t| <= pi/2 (periodic family),
+    -n-1 beyond (antiperiodic)."""
+    return -n if abs(t) <= PI / 2 else -n - 1
+
+
 class TestBlochFunction:
-    def test_free_concentrated(self):
-        bf, partner = bloch_function(MathieuPotential(0, 0), 0.5, 3)
-        assert bf.u == pytest.approx(1.0)
-        assert bf.v == 0.0
-        assert bf.tail_norm == 0.0
-        assert partner.u == pytest.approx(1.0)
+    """Bloch functions by band label through ``BandSolver.bands``."""
 
-    def test_normalization_split(self):
-        bf, _ = bloch_function(MathieuPotential(1, 1), 0.01, 4)
-        total = abs(bf.u) ** 2 + abs(bf.v) ** 2 + bf.tail_norm ** 2
-        assert total == pytest.approx(1.0, abs=1e-10)
-        assert abs(abs(bf.u) ** 2 + abs(bf.v) ** 2 - 1.0) <= 0.05
+    def test_free_concentrated(self, solvers):
+        solver = solvers("free", n_max=5)
+        ok, c, c_adj = _band(solver, 0.5, 3)
+        assert ok
+        assert abs(_coeff(solver, c, 3)) == pytest.approx(1.0)
+        assert _coeff(solver, c, -3) == 0.0
+        assert np.linalg.norm(np.delete(c, 3 + solver.M)) == 0.0
+        assert abs(_coeff(solver, c_adj, 3)) == pytest.approx(1.0)
 
-    def test_dominant_component_asym(self):
-        # (1,2) at t=0 resolves through the parity path; one component
+    def test_normalization_split(self, solvers):
+        solver = solvers("equal")
+        ok, c, _ = _band(solver, 0.01, 4)
+        assert ok
+        u, v = _coeff(solver, c, 4), _coeff(solver, c, _mirror(4, 0.01))
+        tail = np.linalg.norm(np.delete(c, [4 + solver.M, -4 + solver.M]))
+        assert abs(u) ** 2 + abs(v) ** 2 + tail ** 2 == pytest.approx(
+            1.0, abs=1e-10)
+        assert abs(abs(u) ** 2 + abs(v) ** 2 - 1.0) <= 0.05
+
+    def test_dominant_component_asym(self, solvers):
+        # (1,2) at t=0 resolves through the parity blocks; one component
         # carries nearly all the mass
-        bf, _ = bloch_function(MathieuPotential(1, 2), 0.0, 6)
-        dominant = max(abs(bf.u), abs(bf.v))
+        solver = solvers("asym")
+        ok, c, _ = _band(solver, 0.0, 6)
+        assert ok
+        dominant = max(abs(_coeff(solver, c, 6)), abs(_coeff(solver, c, -6)))
         assert dominant ** 2 >= 0.9
 
     def test_tail_falls_with_band(self, solvers):
         solver = solvers("asym")
         t = 0.02
         for n in (4, 6, 8):
-            bf, _ = bloch_function(solver.pot, t, n, M=solver.M,
-                                   lambda_ref=solver.curves.value(n, t))
-            assert bf.tail_norm <= 5.0 / n
+            ok, c, _ = _band(solver, t, n)
+            assert ok
+            tail = np.linalg.norm(np.delete(c, [n + solver.M,
+                                                _mirror(n, t) + solver.M]))
+            assert tail <= 5.0 / n
 
-    def test_jordan_refused(self):
-        with pytest.raises(MultipleEigenvalueError):
-            bloch_function(MathieuPotential(0, 1), 0.0, 2)
+    def test_jordan_refused(self, solvers):
+        ok, c, c_adj = _band(solvers("gasymov"), 0.0, 2)
+        assert not ok
+        assert not c.any() and not c_adj.any()
 
-    def test_evaluate_periodicity(self):
-        bf, _ = bloch_function(MathieuPotential(1, 1), 0.7, 2)
-        vals = bf.evaluate(np.array([0.25, 1.25]))
+    def test_evaluate_periodicity(self, solvers):
+        solver = solvers("equal")
+        t = 0.7
+        ok, c, _ = _band(solver, t, 2)
+        assert ok
+        x = np.array([0.25, 1.25])
+        vals = np.exp(1j * np.outer(x, TWO_PI * solver.ks + t)) @ c
         # Bloch property: Psi(x + 1) = e^{it} Psi(x)
-        assert vals[1] == pytest.approx(vals[0] * np.exp(1j * 0.7), rel=1e-10)
+        assert vals[1] == pytest.approx(vals[0] * np.exp(1j * t), rel=1e-10)
 
 
 def _assert_clustered(pot, t, n, M=None):
-    """The band is clustered at t, so bloch_function takes the parity route."""
+    """The band is clustered at t: its pair needs the parity split."""
     M = default_m(abs(n) + 2) if M is None else M
-    sol = eig(assemble(pot, t, M))
+    sol = endpoint_spectrum(pot, t, M)
     assert len(sol.cluster(sol.nearest(free_lambda(n, t)))) > 1
+    return sol
+
+
+def _pair(sol, n, t):
+    """Band n's (lam, right, left, res, lres) off an endpoint solve, with
+    the free value as reference, or None."""
+    i = sol.label(n, free_lambda(n, t))
+    if i is None:
+        return None
+    return (sol.lambdas[i], sol.vectors[:, i], sol.left_vectors[:, i],
+            sol.residuals[i], sol.left_residuals[i])
 
 
 class TestTwoPeriodicPair:
     def test_agrees_with_plain_path_when_resolvable(self):
         # at n = 2 the splitting is still above double precision, so the
-        # plain eigensolve is an independent oracle for the parity path
+        # plain dense eigensolve is an independent oracle for the blocks
         pot = MathieuPotential(1, 2)
-        sol = eig(assemble(pot, 0.0, 24))
+        w, vl, vr = sla.eig(assemble(pot, 0.0, 24).to_dense(), left=True,
+                            right=True)
         lam = (TWO_PI * 2) ** 2
-        idx = np.argsort(np.abs(sol.lambdas - lam))[:2]
-        d_plain = sorted(abs(np.vdot(sol.left_vectors[:, i],
-                                     sol.vectors[:, i])) for i in idx)
-        for n in (2, -2):
-            _assert_clustered(pot, 0.0, n, M=24)
-        pair = [bloch_function(pot, 0.0, n, M=24) for n in (2, -2)]
-        d_parity = sorted(
-            abs(np.vdot(partner.coeffs, primal.coeffs))
-            for (primal, partner) in pair)
+        idx = np.argsort(np.abs(w - lam))[:2]
+        d_plain = sorted(abs(np.vdot(vl[:, i], vr[:, i])) for i in idx)
+        sol = _assert_clustered(pot, 0.0, 2, M=24)
+        pair = [_pair(sol, n, 0.0) for n in (2, -2)]
+        d_parity = sorted(abs(np.vdot(y, x)) for (_, x, y, _, _) in pair)
         assert d_parity == pytest.approx(d_plain, rel=1e-6)
 
     def test_residual_certified(self):
         pot = MathieuPotential(1, 2)
         for n in (5, -5):
-            _assert_clustered(pot, 0.0, n)
-            primal, partner = bloch_function(pot, 0.0, n)
-            assert primal.residual <= 1e-7 * (1 + abs(primal.lam))
-            assert partner.residual <= 1e-7 * (1 + abs(primal.lam))
+            sol = _assert_clustered(pot, 0.0, n)
+            lam, _, _, res, lres = _pair(sol, n, 0.0)
+            assert res <= 1e-7 * (1 + abs(lam))
+            assert lres <= 1e-7 * (1 + abs(lam))
 
     def test_antiperiodic_indexing(self):
         # n = 2, not 1: the n = 1 pair of (1, -1) at pi splits by 3e-4,
-        # too wide to cluster, so it takes the plain path
+        # too wide to cluster
         pot = MathieuPotential(1, -1)
         for n in (2, -3):
-            _assert_clustered(pot, PI, n)
-            primal, partner = bloch_function(pot, PI, n)
-            assert primal.family == "antiperiodic"
-            assert abs(primal.lam - (2 * TWO_PI + PI) ** 2) <= 0.1
-            assert abs(primal.u) ** 2 + abs(primal.v) ** 2 >= 0.9
+            sol = _assert_clustered(pot, PI, n)
+            lam, x, _, _, _ = _pair(sol, n, PI)
+            M = (len(x) - 1) // 2
+            assert abs(lam - (2 * TWO_PI + PI) ** 2) <= 0.1
+            assert abs(x[n + M]) ** 2 + abs(x[_mirror(n, PI) + M]) ** 2 \
+                >= 0.9
 
     def test_needs_nonzero_product(self):
         pot = MathieuPotential(0, 1)
-        _assert_clustered(pot, 0.0, 2)
-        with pytest.raises(MultipleEigenvalueError):
-            bloch_function(pot, 0.0, 2)
-
-
-def _two_periodic_pair_reference(pot, n, at_pi, M):
-    """The dense parity split the eigen layer used before ``_parity_pair``.
-
-    Builds the gauge-symmetrized matrix and the parity basis densely and
-    projects, basis^T A basis; at pi it truncates to k = -M..M-1 so the
-    reflection k -> -1-k maps the window onto itself.
-    Returns [(primal, partner) even, (primal, partner) odd].
-    """
-    s = cmath.sqrt(pot.a / pot.b)
-    g = cmath.sqrt(pot.ab)
-    if at_pi:
-        ks, t = np.arange(-M, M), PI
-    else:
-        ks, t = np.arange(-M, M + 1), 0.0
-    nk = len(ks)
-    offset = int(ks[0])
-    diag = (TWO_PI * ks + t) ** 2
-    sym = np.diag(diag).astype(complex)
-    sym += np.diag(np.full(nk - 1, g), 1) + np.diag(np.full(nk - 1, g), -1)
-    cols_even, cols_odd = [], []
-    seen = set()
-    for k in ks:
-        if k in seen:
-            continue
-        r = -1 - k if at_pi else -k
-        seen.update((int(k), int(r)))
-        if r == k:
-            e = np.zeros(nk)
-            e[k - offset] = 1.0
-            cols_even.append(e)
-        else:
-            hi, lo = max(k, r), min(k, r)
-            for sign, cols in ((1.0, cols_even), (-1.0, cols_odd)):
-                e = np.zeros(nk)
-                e[hi - offset] = 1.0 / math.sqrt(2.0)
-                e[lo - offset] = sign / math.sqrt(2.0)
-                cols.append(e)
-    lam_ref = free_lambda(n, t)
-    scaling = np.exp(-np.log(s) * ks)
-    adj_scaling = np.exp(np.log(np.conj(s)) * ks)
-    out = []
-    for cols in (cols_even, cols_odd):
-        basis = np.array(cols).T
-        w, vr = sla.eig(basis.T @ sym @ basis)
-        j = int(np.argmin(np.abs(w - lam_ref)))
-        vfull = basis @ vr[:, j]
-        psi = scaling * vfull
-        psi_adj = adj_scaling * np.conj(vfull)
-        lam = complex(w[j])
-        out.append((BlochFunction(n, t, ks, psi / np.linalg.norm(psi),
-                                  lam, 0.0),
-                    BlochFunction(n, t, ks,
-                                  psi_adj / np.linalg.norm(psi_adj),
-                                  np.conj(lam), 0.0)))
-    return out
+        sol = _assert_clustered(pot, 0.0, 2)
+        assert _pair(sol, 2, 0.0) is None
 
 
 PARITY_POTS = [(1, 2), (1, -1), (1, 1), (1 + 0.5j, 1 - 0.5j),
@@ -934,23 +946,38 @@ PARITY_POTS = [(1, 2), (1, -1), (1, 1), (1 + 0.5j, 1 - 0.5j),
 
 class TestParityPair:
     @pytest.mark.parametrize("ab", PARITY_POTS)
-    def test_matches_dense_reference(self, ab):
+    def test_matches_dense_reference(self, parity_reference, ab):
+        # every endpoint pair of bands against the dense parity split: a
+        # clustered pair against the even (+) block for n >= 0 and the odd
+        # (-) one for n < 0, a simple one against the member with its
+        # eigenvalue
         pot = MathieuPotential(*ab)
+        labels = range(-8, 9)
         for M in (24, 32):
-            for t in (0.0, PI):
+            solver = BandSolver(pot, track_curves(pot, default_grid(16),
+                                                  labels, M=M))
+            got = solver.bands([0.0, PI], labels)
+            assert got.ok.all() and got.endpoint.all()
+            for j, t in enumerate((0.0, PI)):
                 op = assemble(pot, t, M)
-                for n in range(-8, 9):
-                    ref = _two_periodic_pair_reference(
-                        pot, n, t == PI, M)[0 if n >= 0 else 1]
-                    got = _parity_pair(op, n, free_lambda(n, t))
-                    assert got[0].lam == pytest.approx(ref[0].lam, rel=1e-12)
-                    d_ref = abs(np.vdot(ref[1].coeffs, ref[0].coeffs))
-                    d_got = abs(np.vdot(got[1].coeffs, got[0].coeffs))
+                sol = solver.solution(t)
+                for r, n in enumerate(labels):
+                    refs = parity_reference(pot, solver.curves.value(n, t),
+                                            t == PI, M)
+                    lam = got.lam[j, r]
+                    if len(sol.cluster(sol.nearest(lam))) > 1:
+                        b = 0 if n >= 0 else 1
+                    else:
+                        b = int(np.argmin([abs(ref[0] - lam) for ref in refs]))
+                    ref_lam, psi, psi_adj = refs[b]
+                    assert lam == pytest.approx(ref_lam, rel=1e-12)
+                    d_ref = abs(np.vdot(psi_adj, psi))
+                    d_got = abs(np.vdot(got.left[j, :, r], got.right[j, :, r]))
                     assert d_got == pytest.approx(d_ref, rel=1e-12)
-                    assert np.array_equal(got[0].ks, op.ks)
+                    assert got.right.shape[1] == op.size
                     scale = 1e-9 * max(op.scale, 1.0)
-                    assert got[0].residual <= scale
-                    assert got[1].residual <= scale
+                    assert got.residual[j, r] <= scale
+                    assert got.left_residual[j, r] <= scale
 
     def test_gauge_coupling_sign(self):
         # for (-1, -1), a/s = -1 while sqrt(ab) = +1: the symmetrized
@@ -959,59 +986,60 @@ class TestParityPair:
         for t, ns in ((0.0, (3, -3)), (PI, (2, -3))):
             op = assemble(pot, t, 24)
             for n in ns:
-                _assert_clustered(pot, t, n, M=24)
-                for bf in bloch_function(pot, t, n, M=24):
-                    assert bf.residual <= 1e-9 * op.scale
+                sol = _assert_clustered(pot, t, n, M=24)
+                _, _, _, res, lres = _pair(sol, n, t)
+                assert res <= 1e-9 * op.scale and lres <= 1e-9 * op.scale
 
     def test_minus_pi_reads_as_pi(self, solvers):
         solver = solvers("asym")
         pot, n = solver.pot, 2
-        sol = solver.solution(PI)
-        assert len(sol.cluster(sol.nearest(solver.curves.value(n, PI)))) > 1
         lam_ref = solver.curves.value(n, PI)
+        sol = solver.solution(PI)
+        assert len(sol.cluster(sol.nearest(lam_ref))) > 1
         got = solver.bands([PI, -PI], [n])
         assert np.array_equal(got.t, [PI, PI])
-        assert got.ok.all() and got.dense.all()
+        assert got.ok.all() and got.endpoint.all()
         for part in (got.lam, got.right, got.left, got.residual,
                      got.left_residual):
             assert np.array_equal(part[1], part[0])
-        # bloch_function with no solution handed in: the -pi operator is
-        # solved, and its pair is read as pi
-        fresh = bloch_function(pot, -PI, n, M=solver.M, lambda_ref=lam_ref)
-        assert fresh[0].t == PI and fresh[0].family == "antiperiodic"
-        assert np.array_equal(fresh[0].coeffs, got.right[0, :, 0])
+        # the -pi solve is the pi solve
+        fresh = endpoint_spectrum(pot, -PI, solver.M)
+        assert fresh.t == PI
+        assert np.array_equal(fresh.vectors[:, fresh.label(n, lam_ref)],
+                              got.right[0, :, 0])
 
-    def test_endpoint_fixes_family(self):
-        # the pair at pi is antiperiodic, at 0 periodic
-        pot = MathieuPotential(1, 2)
-        _assert_clustered(pot, PI, 2)
-        primal, _ = bloch_function(pot, PI, 2)
-        assert primal.family == "antiperiodic"
-        assert primal.u == primal.coeff(2) and primal.v == primal.coeff(-3)
-        _assert_clustered(pot, 0.0, 3)
-        primal, _ = bloch_function(pot, 0.0, 3)
-        assert primal.family == "periodic" and primal.v == primal.coeff(-3)
+    def test_endpoint_fixes_family(self, solvers):
+        # the pair at pi is antiperiodic (band 2 on k = 2 and -3), at 0
+        # periodic (band 3 on k = 3 and -3)
+        solver = solvers("asym")
+        for t, n in ((PI, 2), (0.0, 3)):
+            _assert_clustered(solver.pot, t, n, M=solver.M)
+            ok, c, _ = _band(solver, t, n)
+            assert ok
+            mass = (abs(_coeff(solver, c, n)) ** 2
+                    + abs(_coeff(solver, c, _mirror(n, t))) ** 2)
+            assert mass >= 0.9
 
     def test_profile_resolves_endpoints_through_it(self, solvers,
                                                    monkeypatch):
-        # nothing in the benchmark reaches the parity route; count it here
+        # a profile's endpoint nodes take one endpoint solve each
         solver = solvers("asym")
         calls = []
-        real = flq._parity_pair
+        real = flq.endpoint_spectrum
 
-        def counting(op, n, lam_ref):
-            calls.append((op.t, n))
-            return real(op, n, lam_ref)
+        def counting(pot, t, M):
+            calls.append((t, M))
+            return real(pot, t, M)
 
-        monkeypatch.setattr(flq, "_parity_pair", counting)
+        monkeypatch.setattr(flq, "endpoint_spectrum", counting)
         prof = dn_profile(solver.pot, 4, [0.0, PI], solver=solver)
-        assert calls == [(0.0, 4), (PI, 4)]
+        assert calls == [(0.0, solver.M), (PI, solver.M)]
         assert not prof.excluded
         assert [t for t, _ in prof.by_method("eigenvector")] == [0.0, PI]
 
 
 # --------------------------------------------------------------------------
-# Batched labelled pairs (BandSolver.bands) against the dense route
+# Batched labelled pairs (BandSolver.bands) against the dense reference
 # --------------------------------------------------------------------------
 
 def _phase_aligned_gap(x, want):
@@ -1034,8 +1062,8 @@ class TestBatchedBands:
         got = solver.bands(nodes, labels)
         assert got.lam.shape == (len(nodes), len(labels))
         if pot.ab == 0:
-            # the closed form: no pair takes the dense route
-            assert not got.dense.any() and got.dense_solves == 0
+            # the closed form: no pair takes the endpoint route
+            assert not got.endpoint.any() and got.endpoint_solves == 0
         for j, t in enumerate(nodes):
             scale = assemble(pot, abs(t), solver.M).scale
             for r, n in enumerate(labels):
@@ -1046,15 +1074,12 @@ class TestBatchedBands:
                     continue
                 primal, partner = dense
                 assert abs(got.lam[j, r] - primal.lam) <= 1e-12 * scale
-                if got.dense[j, r]:
-                    assert np.array_equal(got.right[j, :, r], primal.coeffs)
-                    continue
                 want = primal.coeffs, partner.coeffs
                 if pot.ab == 0 and max(
                         _phase_aligned_gap(got.right[j, :, r], want[0]),
                         _phase_aligned_gap(got.left[j, :, r], want[1])
                         ) > 1e-10:
-                    # the dense route misses the bound here: the 30-digit
+                    # the dense reference misses the bound here: the 30-digit
                     # recurrence is the reference
                     want = one_sided_reference(pot, solver.M, t, n)[1:]
                 assert _phase_aligned_gap(got.right[j, :, r], want[0]) <= 1e-10
@@ -1067,7 +1092,8 @@ class TestBatchedBands:
         st.one_of(st.sampled_from(EDGE_TS),
                   st.floats(-PI, PI, exclude_min=True)))
     @settings(max_examples=40, deadline=None)
-    def test_certified_or_dense_refusal(self, dense_band, amps, t):
+    def test_certified_or_dense_refusal(self, dense_band, dense_lambdas,
+                                        amps, t):
         # log10 |a/b|, sqrt|ab| and the phases; or one-sided and free
         if amps == "free":
             pot = MathieuPotential(0, 0)
@@ -1083,18 +1109,34 @@ class TestBatchedBands:
             pot, t_grid=default_grid(16), n_range=range(-3, 4), M=12))
         labels = list(range(-3, 4))
         got = solver.bands([t, -t], labels)
-        assert got.dense_solves <= 1      # t and -t share one node
+        assert got.endpoint_solves <= 1   # t and -t share one node
         for j, tj in enumerate(got.t):
             op = assemble(pot, tj, solver.M)
             cert = 1e-8 * max(op.scale, 1.0)
             live = []
             for r, n in enumerate(labels):
                 if not got.ok[j, r]:
-                    # only the dense route or, for ab = 0, the closed form
-                    # refuses, and the dense route refuses here too
-                    assert got.dense[j, r] or pot.ab == 0
-                    with pytest.raises(MultipleEigenvalueError):
-                        dense_band(solver, tj, n)
+                    # whichever route refused it, the dense reference
+                    # refuses it too, unless the dense solve cannot tell:
+                    # its gap to the nearest other eigenvalue lies within
+                    # its accuracy of the cluster link (each of the two
+                    # is off by about eps scale / |d|, and a near-double's
+                    # members share |d|), or, at pi, the truncation edge
+                    # that the pi blocks leave out (row k = M) carries a
+                    # certificate's worth of it
+                    dense = _band_or_none(dense_band, solver, tj, n)
+                    if dense is not None:
+                        primal, partner = dense
+                        gap = np.partition(np.abs(
+                            dense_lambdas(pot, solver.M, abs(tj))
+                            - primal.lam), 1)[1]
+                        blur = 2.0 * EPS * op.scale / abs(
+                            np.vdot(partner.coeffs, primal.coeffs))
+                        edge = max(abs(v.coeffs[i]) for v in dense
+                                   for i in (0, -1))
+                        assert (gap < CLUSTER_RTOL * (1 + abs(primal.lam))
+                                + blur) or (abs(tj) == PI and edge * max(
+                                    abs(pot.a), abs(pot.b)) > cert)
                     continue
                 x, y, lam = (got.right[j, :, r], got.left[j, :, r],
                              got.lam[j, r])
@@ -1149,10 +1191,10 @@ class TestOneSidedClosedForm:
     @pytest.mark.parametrize("name", ["bench-os", "gasymov", "left", "free"])
     def test_no_dense_solve(self, monkeypatch, pots, dense_band, name):
         # the tracking and bands make no eigensolve for ab = 0, and refuse
-        # exactly the pairs the dense route refuses
+        # exactly the pairs the dense reference refuses
         pot = pots[name]
         calls = []
-        for owner, fn in ((flq, "eig"), (sla, "eig"), (sla, "eigvals"),
+        for owner, fn in ((sla, "eig"), (sla, "eigvals"),
                           (sla, "eigh_tridiagonal")):
             def counted(*args, _real=getattr(owner, fn), _fn=fn, **kwargs):
                 calls.append(_fn)
@@ -1164,7 +1206,7 @@ class TestOneSidedClosedForm:
         labels = list(range(-5, 6))
         got = solver.bands(ts, labels)
         assert calls == []
-        assert not got.dense.any() and got.dense_solves == 0
+        assert not got.endpoint.any() and got.endpoint_solves == 0
         monkeypatch.undo()
         assert (~got.ok).any()
         for j, t in enumerate(ts):
@@ -1198,3 +1240,78 @@ class TestOneSidedClosedForm:
         lres = np.linalg.norm(op.apply(y[:, None], adjoint=True)[:, 0]
                               - np.conj(lam) * y)
         assert res <= cert and lres <= cert
+
+
+# --------------------------------------------------------------------------
+# One route per pair
+# --------------------------------------------------------------------------
+
+@pytest.fixture
+def solve_log(monkeypatch):
+    """Rows of every LAPACK eigensolve (``eig``, ``eigvals``) made outside
+    ``track_curves`` and ``stable_m``, each with the M of the endpoint
+    solve it belongs to (None outside one), and the count of dense SVDs."""
+    log = {"solves": [], "svd": 0}
+    state = {"tracking": 0, "M": None}
+
+    def tracking(fn):
+        def inner(*args, **kwargs):
+            state["tracking"] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                state["tracking"] -= 1
+        return inner
+
+    def endpoint(pot, t, M, _real=flq.endpoint_spectrum):
+        state["M"] = M
+        try:
+            return _real(pot, t, M)
+        finally:
+            state["M"] = None
+
+    def svd(*args, _real=np.linalg.svd, **kwargs):
+        log["svd"] += 1
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(flq, "track_curves", tracking(flq.track_curves))
+    monkeypatch.setattr(flq, "stable_m", tracking(flq.stable_m))
+    monkeypatch.setattr(flq, "endpoint_spectrum", endpoint)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    for name in ("eig", "eigvals"):
+        def counted(a, *args, _real=getattr(sla, name), **kwargs):
+            if not state["tracking"]:
+                log["solves"].append((len(a), state["M"]))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(sla, name, counted)
+    return log
+
+
+class TestSingleRoute:
+    @pytest.mark.parametrize("name", ["bench-sa", "bench-eq", "bench-un",
+                                      "bench-os", "asym", "large-ab",
+                                      "opposite"])
+    def test_no_dense_route(self, pots, solve_log, name):
+        # bands on the expand nodes plus 0 and +-pi, and the endpoint
+        # verdicts of detect_singularities on the bench windows around
+        # (k pi)^2: no SVD, and no eigensolve beyond the parity blocks
+        # (at most M + 1 rows) outside the tracking
+        from mathieuspec.expansion import _passes, make_plan
+        pot = pots[name]
+        plan = make_plan(pot, 4)
+        solver = make_solver(pot, plan.n_max + 1)
+        nodes = np.concatenate([p[0] for p in _passes(plan)]
+                               + [[0.0, PI, -PI]])
+        labels = range(-4, 5)
+        got = solver.bands(nodes, labels)
+        ends = 0 if pot.ab == 0 else 2         # |t| = 0 and pi
+        assert got.endpoint_solves == ends
+        assert got.endpoint.sum() == (0 if pot.ab == 0 else 3 * len(labels))
+        for k in range(1, 6):
+            c, h = (k * PI) ** 2, 0.7 * k * PI
+            detect_singularities(pot, (c - h, c + h))
+        assert solve_log["svd"] == 0
+        assert all(M is not None and rows <= M + 1
+                   for rows, M in solve_log["solves"])
+        assert (len(solve_log["solves"]) > 0) == (pot.ab != 0)

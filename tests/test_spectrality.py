@@ -221,13 +221,13 @@ class TestDetection:
         # (2 pi)^2 and (4 pi)^2 are ESS of the periodic family, bands 1 and
         # 2, whose integrals share the span (0, 0.05); (3 pi)^2 has the
         # antiperiodic one to itself.  Every integrand node is handed over
-        # once, for all bands of its span, and solved at most once (M = 16
-        # keeps the dense solves cheap).
+        # once, for all bands of its span, and an endpoint node is solved
+        # at most once.
         pot = MathieuPotential(0, 1)
         solver = flq.BandSolver(pot, flq.track_curves(
             pot, flq.default_grid(96), range(-4, 5), M=16))
         nodes, solves = [], []
-        inner, real_eig = spc._projection_norms, flq.eig
+        inner, real_end = spc._projection_norms, flq.endpoint_spectrum
 
         def counted(solver, ts, ns):
             nodes.extend(abs(float(t)) for t in ts)
@@ -237,13 +237,13 @@ class TestDetection:
             finally:
                 inside.append(len(solves) - before)
 
-        def counted_eig(op):
-            solves.append(op.t)
-            return real_eig(op)
+        def counted_end(pot, t, M):
+            solves.append(t)
+            return real_end(pot, t, M)
 
         inside = []
         monkeypatch.setattr(spc, "_projection_norms", counted)
-        monkeypatch.setattr(flq, "eig", counted_eig)
+        monkeypatch.setattr(flq, "endpoint_spectrum", counted_end)
         _, ess = detect_singularities(pot, (30.0, 170.0), solver=solver)
         periodic = sorted(abs(e.band_guess) for e in ess
                           if e.point.family == "periodic")
