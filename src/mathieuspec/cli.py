@@ -355,20 +355,10 @@ def _cmd_verify(cfg: JobConfig, out: Path) -> dict:
         raise MultipleEigenvalueError(
             f"band 2 at t={t_s!r} is not resolvably simple")
     # the solver reflects -t from t; solve -t directly to test the operator
-    # (band 2 sits on k = -2 there), in closed form for ab = 0, whose exact
-    # eigenvalue is a zero pivot for inverse iteration
-    ts, lead = np.array([-t_s]), np.array([-2])
-    if pot.ab == 0:
-        lam_m, x, y, res, lres, _ = flq._one_sided(pot, solver.M, ts, lead)
-        x, y = x[0], y[0]
-    else:
-        lam_m, x, y, res, lres = flq._inverse_iteration(
-            pot, solver.M, ts, np.array([solver.curves.value(2, -t_s)]),
-            lead)
-    lam_m, res, lres = (np.ravel(g)[0] for g in (lam_m, res, lres))
-    cert = flq._certificate(flq._scale(pot, -t_s, solver.M))
-    certified = bool(np.isfinite(lam_m) and res <= cert and lres <= cert)
-    d_m = abs(np.vdot(y[:, 0], x[:, 0]))
+    # (band 2 sits on k = -2 there)
+    _, x, y, _, _, certified = flq.direct_pair(
+        pot, solver.M, -t_s, -2, solver.curves.value(2, -t_s))
+    d_m = abs(np.vdot(y, x))
     check("dn-symmetry", certified and abs(d_p - d_m) <= 1e-8,
           f"|d(t)-d(-t)|={abs(d_p - d_m):.3e}"
           + ("" if certified else " (direct pair not certified)"))

@@ -193,11 +193,15 @@ class EndpointSpectrum:
         return np.flatnonzero(_linked(self.lambdas, self.lambdas[i], mag,
                                       mag[i], CLUSTER_RTOL))
 
+    def multiplicity(self, i: int) -> int:
+        """The geometric multiplicity of eigenvalue i's cluster: one per
+        block it meets, or its size for a Hermitian truncation."""
+        cl = self.cluster(i)
+        return len(cl) if self.hermitian else len(np.unique(self.block[cl]))
+
     def is_deficient(self, i: int) -> bool:
         """Whether eigenvalue i's cluster is short of eigenvectors."""
-        cl = self.cluster(i)
-        return (len(cl) > 1 and not self.hermitian
-                and bool(np.all(self.block[cl] == self.block[i])))
+        return self.multiplicity(i) < len(self.cluster(i))
 
     def label(self, n: int, lam_ref: complex) -> Optional[int]:
         """Band n's eigenpair, or None for a deficient cluster.
@@ -207,10 +211,10 @@ class EndpointSpectrum:
         and n < 0 the odd (-) one's.
         """
         i = self.nearest(lam_ref)
-        if len(self.cluster(i)) == 1:
-            return i
         if self.is_deficient(i):
             return None
+        if len(np.unique(self.block[self.cluster(i)])) == 1:
+            return i
         return self.nearest(lam_ref, block=0 if n >= 0 else 1)
 
 
@@ -225,16 +229,16 @@ def endpoint_spectrum(pot: MathieuPotential, t: float,
     k >= 0, it splits into two tridiagonal blocks with coupling g, each
     solved once by dense QR: at t = 0 the even block also holds e_0,
     coupled to k = 1 by sqrt(2) g; at pi the first diagonal entry gets
-    +-g, and the edge row k = M, which has no mirror, is left out (so a
-    truncation too small for its edge leaves the pi pairs uncertified
-    against the M-truncation).  The
+    +-g, and the edge row k = M, which has no mirror, is left out.  The
     two members of a two-periodic pair live in opposite blocks and stay
     perfectly conditioned even when their splitting is far below double
     precision.  Both blocks are complex symmetric, so a block's left
     vectors are the conjugates of its right ones, and the adjoint vectors
     come back through the conjugate gauge conj(s)^k.  A coupling ratio so
     extreme that the gauge overflows leaves non-finite vectors and
-    residuals.
+    residuals.  At pi the left-out edge row can leave a pair short of the
+    certificate on the M-truncation; ``BandSolver.bands`` polishes the
+    simple pairs it labels there.
 
     A one-sided truncation (ab = 0) is bidiagonal: its eigenvalues are
     the diagonal, one block, with the closed-form pairs of ``_one_sided``
@@ -779,6 +783,29 @@ def _one_sided(pot: MathieuPotential, M: int, ts: np.ndarray, labels):
             res.reshape(nn, nl), lres.reshape(nn, nl), ok.reshape(nn, nl))
 
 
+def direct_pair(pot: MathieuPotential, M: int, t: float, k: int,
+                shift: complex):
+    """The eigenpair of H_t near ``shift`` whose free vector leads at
+    Fourier index k, solved at t itself: the closed form of the diagonal
+    entry k for ab = 0 (``_one_sided``; its exact eigenvalue is a zero
+    pivot for inverse iteration), one ``_inverse_iteration`` otherwise.
+    Returns (lam, right, left, res, lres, certified), certified when the
+    pair is finite and both residuals meet ``_certificate``.
+    """
+    ts, lead = np.array([float(t)]), np.array([k])
+    if pot.ab == 0:
+        lam, x, y, res, lres, _ = _one_sided(pot, M, ts, lead)
+        x, y = x[0], y[0]
+    else:
+        lam, x, y, res, lres = _inverse_iteration(pot, M, ts,
+                                                  np.array([shift]), lead)
+    lam = complex(np.ravel(lam)[0])
+    res, lres = (float(np.ravel(g)[0]) for g in (res, lres))
+    cert = _certificate(_scale(pot, t, M))
+    certified = bool(np.isfinite(lam) and res <= cert and lres <= cert)
+    return lam, x[:, 0], y[:, 0], res, lres, certified
+
+
 @dataclass
 class BandBatch:
     """Labelled Bloch pairs at a list of nodes, from ``BandSolver.bands``.
@@ -842,8 +869,11 @@ class BandSolver:
         Otherwise a node at t = 0 or pi is solved once on its parity
         blocks (``solution``), and band n takes ``EndpointSpectrum.label``
         with the curve value as reference, which refuses a deficient
-        cluster.  Every other node goes through ``_inverse_iteration`` in
-        chunks of at most about ``BATCH_PAIRS`` pairs, with each band's
+        cluster; a simple pair its block vectors leave short of the
+        certificate takes one ``direct_pair`` on the M-truncation from its
+        block eigenvalue, kept when it stays nearest that eigenvalue.  Every
+        other node goes through ``_inverse_iteration`` in chunks of at
+        most about ``BATCH_PAIRS`` pairs, with each band's
         endpoint partners (-n and -n-1) among the labels and the curve
         values as shifts (the free values for a partner the curves do not
         track).  A batch pair is accepted when its eigenvalue is nearer
@@ -891,12 +921,23 @@ class BandSolver:
                 i = sol.label(n, ref)
                 if i is None:
                     i, ok[j, r] = sol.nearest(ref), False
-                lam[j, r], res[j, r], lres[j, r] = (
-                    sol.lambdas[i], sol.residuals[i], sol.left_residuals[i])
+                got = (sol.lambdas[i], sol.vectors[:, i],
+                       sol.left_vectors[:, i], sol.residuals[i],
+                       sol.left_residuals[i])
+                if (ok[j, r] and len(sol.cluster(i)) == 1
+                        and not (got[3] <= cert and got[4] <= cert)):
+                    # at pi the blocks leave out the edge row k = M: polish
+                    # a simple pair on the M-truncation from its block
+                    # eigenvalue (one iteration cannot keep a cluster's
+                    # members apart)
+                    peak = np.argmax(np.nan_to_num(np.abs(got[1]))) - self.M
+                    new = direct_pair(self.pot, self.M, t, peak, got[0])
+                    if new[5] and sol.nearest(new[0]) == i:
+                        got = new[:5]
+                lam[j, r], res[j, r], lres[j, r] = got[0], got[3], got[4]
                 ok[j, r] &= bool(res[j, r] <= cert and lres[j, r] <= cert)
                 if ok[j, r]:
-                    right[j, :, r] = sol.vectors[:, i]
-                    left[j, :, r] = sol.left_vectors[:, i]
+                    right[j, :, r], left[j, :, r] = got[1], got[2]
         endpoint = np.repeat(ends[:, None], nl, axis=1)
         if not np.array_equal(nodes, ts):
             # back to the requested nodes, reflecting t < 0

@@ -332,7 +332,7 @@ def detect_singularities(pot: MathieuPotential, window: Tuple[float, float],
                 singular.append(cp)
                 continue
             deficient = sol.is_deficient(i)
-            gm = 1 if deficient else len(cluster)
+            gm = sol.multiplicity(i)
             if not deficient:
                 continue  # semisimple double: projections stay bounded
             singular.append(cp)

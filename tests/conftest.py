@@ -300,6 +300,30 @@ def one_sided_reference():
     return _one_sided_reference
 
 
+@functools.lru_cache(maxsize=64)
+def _exact_lambdas(pot, M, t):
+    """Every eigenvalue of the M-truncation at t, its entries as assembled
+    in doubles, from a 50-digit QR (mpmath)."""
+    import mpmath
+    op = assemble(pot, t, M)
+    with mpmath.workdps(50):
+        a = mpmath.matrix(op.size, op.size)
+        for i, d in enumerate(op.diag):
+            a[i, i] = mpmath.mpf(float(d))
+            if i + 1 < op.size:
+                a[i, i + 1] = mpmath.mpc(op.super)
+                a[i + 1, i] = mpmath.mpc(op.sub)
+        w = mpmath.eig(a, left=False, right=False)
+        return np.array([complex(z) for z in w])
+
+
+@pytest.fixture(scope="session")
+def exact_lambdas():
+    """The 50-digit eigenvalues of the truncation: ``(pot, M, t) ->
+    lambdas``, memoized, see ``_exact_lambdas``."""
+    return _exact_lambdas
+
+
 @pytest.fixture(scope="session")
 def dn_direct():
     """|d_n(t)| from a direct eigensolve at t, labeled by the solver's curve.
