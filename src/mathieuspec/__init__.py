@@ -28,6 +28,7 @@ from .asymptotic import (DTerm, PredictedDegeneracy, SeriesValue, A_series,
 from .spectrality import (EssRecord, InverseIntegral, ProjectionProfile,
                           RegionDecomposition, SpectralityReport,
                           classify_operator, detect_singularities, dn_profile,
+                          dn_profiles,
                           integral_inverse_dn, make_solver,
                           region_decomposition)
 from .expansion import (ExpansionPlan, ResidualReport, TestFunction,

@@ -245,11 +245,11 @@ def _cmd_profile(cfg: JobConfig, out: Path) -> dict:
     grid = np.unique(np.concatenate([-pos[1:-1], pos]))
     lines = ["n,t,abs_dn,method"]
     excluded = {}
-    for n in range(1, cfg.n_max + 1):
-        prof = spc.dn_profile(pot, n, grid, solver=solver)
+    for prof in spc.dn_profiles(pot, range(1, cfg.n_max + 1), grid,
+                                solver=solver):
         for (t, d, method) in sorted(prof.samples):
-            lines.append(",".join([str(n), _fmt(t), _fmt(d), method]))
-        excluded[str(n)] = prof.excluded
+            lines.append(",".join([str(prof.n), _fmt(t), _fmt(d), method]))
+        excluded[str(prof.n)] = prof.excluded
     (out / "profile.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_json(out / "profile_excluded.json", {"excluded": excluded})
     return {"files": ["profile.csv", "profile_excluded.json"]}

@@ -105,23 +105,35 @@ def _bump_profile_transform(nu):
 # Coefficients
 # --------------------------------------------------------------------------
 
-def coefficient_from_vectors(f: TestFunction, t: float, ks: np.ndarray,
-                             vec: np.ndarray, adj_vec: np.ndarray):
+def coefficient_from_vectors(f: TestFunction, t, ks: np.ndarray,
+                             vec: np.ndarray, adj_vec: np.ndarray,
+                             live=None):
     """a_n(t) from explicit coefficient vectors of Psi and Psi*.
 
     a_n(t) = <fhat, c*> / <c, c*> with <x, y> = sum x_k conj(y_k); the
     combination is invariant under independent phase rescalings of either
     vector, which pins down where the conjugations go.  Given columns of
     several bands (arrays shaped (len(ks), bands)), it returns one
-    coefficient per column from one transform of f.
+    coefficient per column from one transform of f; given an array of
+    nodes ``t``, the vectors take the node axis first ((nodes, len(ks))
+    or (nodes, len(ks), bands)) and f is transformed once on the
+    (node, k) grid.  ``live``, shaped like the result, marks the
+    coefficients wanted: the others are 0, and only a live pairing that
+    vanishes raises.
     """
-    fhat = f.transform(TWO_PI * ks + t)
+    fhat = f.transform(TWO_PI * ks + np.asarray(t, dtype=float)[..., None])
     adj = np.conj(adj_vec)
-    num = adj.T @ fhat
-    den = np.sum(adj * vec, axis=0)
-    if np.any(den == 0):
+    single = adj.ndim == fhat.ndim
+    if single:
+        adj, vec = adj[..., None], vec[..., None]
+    num = np.einsum("...kc,...k->...c", adj, fhat)
+    den = np.einsum("...kc,...kc->...c", adj, vec)
+    if single:
+        num, den = num[..., 0], den[..., 0]
+    live = np.ones(den.shape, dtype=bool) if live is None else live
+    if np.any(live & (den == 0)):
         raise SimplenessError("vanishing pairing <Psi, Psi*>")
-    a = num / den
+    a = np.divide(num, den, out=np.zeros_like(num), where=live)
     return complex(a) if np.ndim(a) == 0 else a
 
 
@@ -248,6 +260,11 @@ class ResidualReport:
         return d
 
 
+#: Quadrature nodes whose coefficients and sums ``_Accumulator.add`` forms
+#: at once: it bounds the (node, k, band) temporaries.
+NODE_CHUNK = 64
+
+
 class _Accumulator:
     def __init__(self, f, solver, x):
         self.f = f
@@ -265,28 +282,34 @@ class _Accumulator:
         A group is one band, or an endpoint pair whose members are summed
         before the pair is weighted: they are only jointly integrable
         through a collision.  A group with an unresolvable member is
-        skipped.  All pairs come from one ``BandSolver.bands`` call, and
-        one transform of f and one exp(i x freqs) serve all of a node's
-        bands.
+        skipped; the groups share no band.  All pairs come from one
+        ``BandSolver.bands`` call.  With Psi_{n,t}(x) = e^{ixt} sum_k
+        c_k e^{2 pi i k x}, the pass sums, ``NODE_CHUNK`` nodes at a time,
+        coef_k = sum_n a_n c_k of each node and then
+        sum_j w_j e^{i x t_j} sum_k e^{2 pi i k x} coef_k(t_j): one
+        transform of f on the (node, k) grid and one e^{2 pi i k x} per
+        pass serve every band of every node.
         """
         ks = self.solver.ks
         bands = sorted({n for g in groups for n in g})
-        col = {n: r for r, n in enumerate(bands)}
+        member = np.array([[n in g for n in bands] for g in groups])
         got = self.solver.bands(nodes, bands)
         self.batch_pairs += int(np.sum(~got.endpoint))
         self.endpoint_pairs += int(np.sum(got.endpoint))
         self.endpoint_solves += got.endpoint_solves
-        for j, (t, wt) in enumerate(zip(nodes, weights)):
-            t = float(t)
-            live = [g for g in groups if all(got.ok[j, col[n]] for n in g)]
-            self.skipped += len(groups) - len(live)
-            if not live:
-                continue
-            cols = [col[n] for g in live for n in g]
-            v, w = got.right[j][:, cols], got.left[j][:, cols]
-            a = coefficient_from_vectors(self.f, t, ks, v, w)
-            psi = np.exp(1j * np.outer(self.x, TWO_PI * ks + t)) @ v
-            self.total += wt * (psi @ a)
+        live = ~((~got.ok) @ member.T)              # [node, group]
+        self.skipped += int(np.sum(~live))
+        live = live @ member                        # [node, band]
+        waves = np.exp(1j * np.outer(self.x, TWO_PI * ks))
+        nodes = np.asarray(nodes, dtype=float)
+        for lo in range(0, len(nodes), NODE_CHUNK):
+            part = slice(lo, lo + NODE_CHUNK)
+            a = coefficient_from_vectors(self.f, nodes[part], ks,
+                                         got.right[part], got.left[part],
+                                         live[part])
+            coef = np.einsum("jkc,jc->kj", got.right[part], a)
+            self.total += (np.exp(1j * np.outer(self.x, nodes[part]))
+                           * (waves @ coef)) @ weights[part]
 
 
 def reconstruct(pot: MathieuPotential, f: TestFunction, plan: ExpansionPlan,

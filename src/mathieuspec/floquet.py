@@ -309,7 +309,9 @@ class BlochCurveSet:
     the narrower central window k = -window_M..window_M, and ``eigensolves``
     counts the solves it made (see ``track_curves``).  ``residuals``, the
     certificates of the labelled eigenpairs at the samples, come from one
-    ``BandSolver.bands`` pass on M at first read.
+    ``BandSolver.bands`` pass at first read, and are residuals on M: the
+    batch iterates on the window, but certifies its zero-padded pairs on
+    the M-truncation.
     """
 
     pot: MathieuPotential
@@ -658,6 +660,16 @@ def _tridiagonal_solve(diag: np.ndarray, sup: np.ndarray, sub: np.ndarray,
 #: Rayleigh quotient after every sweep but the last.
 SWEEPS = 3
 
+#: Further sweeps, at most, of a pair whose residual is still above
+#: ``ROUNDING`` after ``SWEEPS``: on the benchmark's jobs one brings every
+#: pair that is accepted to rounding level.
+EXTRA_SWEEPS = 1
+
+#: A pair whose residual on the M-truncation is at most this fraction of
+#: the truncation's scale is converged: a hundred times what a converged
+#: batch pair shows (about 1e-16 of the scale).
+ROUNDING = 1e-14
+
 #: Largest number of (node, label) pairs iterated at once.
 BATCH_PAIRS = 512
 
@@ -668,20 +680,56 @@ CLOSED_FORM_PAIRS = 128
 
 
 def _inverse_iteration(pot: MathieuPotential, M: int, ts: np.ndarray,
-                       shifts: np.ndarray, labels: np.ndarray):
-    """Eigenpairs near ``shifts`` of H_t at ``ts``, one pair each.
+                       shifts: np.ndarray, labels: np.ndarray,
+                       K: Optional[int] = None):
+    """Eigenpairs near ``shifts`` of H_t at ``ts``, one pair each, on the
+    M-truncation.
 
     Any t will do: nothing below assumes a sign.  Each pair solves
-    (H_t - sigma) x = x_prev and (H_t - sigma)^H y = y_prev, starting
-    from e_k + 1 with k its entry of ``labels`` (band n's free vector
-    leads at k = n for t >= 0 and at k = -n for t < 0), and takes
-    sigma = <y, H x>/<y, x> between sweeps
-    (Ipsen, SIAM Review 39 (1997)).  Hermitian inputs skip the adjoint
-    solve: y = x.  Returns (lam, x, y, residual, left residual) with the
-    unit vectors as columns; a pair that broke down comes back non-finite.
+    (H_t - sigma) x = x_prev and (H_t - sigma)^H y = y_prev on the central
+    window k = -K..K (all of M by default), starting from e_k + 1 with k
+    its entry of ``labels`` (band n's free vector leads at k = n for
+    t >= 0 and at k = -n for t < 0), and takes sigma = <y, H x>/<y, x>
+    between sweeps (Ipsen, SIAM Review 39 (1997)).  Hermitian inputs skip
+    the adjoint solve: y = x.
+
+    The vectors come back padded with zeros to M, and the residuals are
+    theirs on the M-truncation: the window's plus the couplings at rows
+    +-(K + 1), |b x_K| and |a x_-K| (|a y_K| and |b y_-K| on the left).
+    After ``SWEEPS``, a pair whose residual is above ``ROUNDING`` of the
+    scale sweeps again, at most ``EXTRA_SWEEPS`` times; one still above
+    it starts over on the window 2K, and so on up to M.  Returns (lam, x,
+    y, residual, left residual) with the unit vectors as columns; a pair
+    that broke down comes back non-finite.
     """
+    npairs, size = len(ts), 2 * M + 1
+    lam = np.empty(npairs, dtype=complex)
+    x = np.zeros((size, npairs), dtype=complex)
+    y = np.zeros_like(x)
+    res, lres = np.empty(npairs), np.empty(npairs)
+    rounding = ROUNDING * _scale(pot, ts, M)
+    todo = np.arange(npairs)
+    K = M if K is None else min(K, M)
+    while todo.size:
+        got = _sweeps(pot, K, M, ts[todo], shifts[todo], labels[todo],
+                      rounding[todo])
+        rows = slice(M - K, M + K + 1)
+        lam[todo], x[rows, todo], y[rows, todo] = got[:3]
+        res[todo], lres[todo] = got[3:]
+        if K == M:
+            break
+        todo = todo[~(np.maximum(res[todo], lres[todo]) <= rounding[todo])]
+        K = min(2 * K, M)
+    return lam, x, y, res, lres
+
+
+def _sweeps(pot: MathieuPotential, K: int, M: int, ts: np.ndarray,
+            shifts: np.ndarray, labels: np.ndarray, rounding: np.ndarray):
+    """``_inverse_iteration`` on the window k = -K..K alone: (lam, x, y,
+    residual, left residual) with the vectors on the window and the
+    residuals of the zero-padded vectors on the M-truncation."""
     a, b = complex(pot.a), complex(pot.b)
-    ks = np.arange(-M, M + 1)
+    ks = np.arange(-K, K + 1)
     diag = (TWO_PI * ks[:, None] + ts[None, :]) ** 2
     npairs = len(ts)
     hermitian = b == np.conj(a)
@@ -689,24 +737,47 @@ def _inverse_iteration(pot: MathieuPotential, M: int, ts: np.ndarray,
     sup = np.repeat([a, np.conj(b)][:sides], npairs)
     sub = np.repeat([b, np.conj(a)][:sides], npairs)
     v = np.ones((len(ks), sides * npairs), dtype=complex)
-    lead = np.clip(labels, -M, M) + M
+    lead = np.clip(labels, -K, K) + K
     v[np.tile(lead, sides), np.arange(sides * npairs)] += len(ks)
     big = np.tile(diag, sides)
     sigma = shifts.astype(complex)
+    res, lres = np.full(npairs, np.inf), np.full(npairs, np.inf)
+    live = np.arange(npairs)
     with np.errstate(all="ignore"):
-        for _ in range(SWEEPS):
-            shift = np.concatenate([sigma, np.conj(sigma)][:sides])
-            v = _tridiagonal_solve(big - shift, sup, sub, v)
-            v /= np.linalg.norm(v, axis=0)
-            x, y = v[:, :npairs], v[:, -npairs:]
-            ax = _product(diag, a, b, x)
-            sigma = (np.sum(np.conj(y) * ax, axis=0)
-                     / np.sum(np.conj(y) * x, axis=0))
-        res = np.linalg.norm(ax - sigma * x, axis=0)
-        lres = res if hermitian else np.linalg.norm(
-            _product(diag, np.conj(b), np.conj(a), y)
-            - np.conj(sigma) * y, axis=0)
-    return sigma, x, y, res, lres
+        for sweep in range(SWEEPS + EXTRA_SWEEPS):
+            if sweep >= SWEEPS:
+                live = live[~(np.maximum(res[live], lres[live])
+                              <= rounding[live])]
+                if not live.size:
+                    break
+            cols = np.concatenate([live, live + npairs][:sides])
+            shift = np.concatenate([sigma[live], np.conj(sigma[live])][:sides])
+            w = _tridiagonal_solve(big[:, cols] - shift, sup[cols], sub[cols],
+                                   v[:, cols])
+            w /= np.linalg.norm(w, axis=0)
+            v[:, cols] = w
+            xl, yl = w[:, :len(live)], w[:, -len(live):]
+            ax = _product(diag[:, live], a, b, xl)
+            sigma[live] = (np.sum(np.conj(yl) * ax, axis=0)
+                           / np.sum(np.conj(yl) * xl, axis=0))
+            if sweep < SWEEPS - 1:
+                continue
+            res[live] = _padded_residual(ax - sigma[live] * xl, b * xl[-1],
+                                         a * xl[0], K < M)
+            lres[live] = res[live] if hermitian else _padded_residual(
+                _product(diag[:, live], np.conj(b), np.conj(a), yl)
+                - np.conj(sigma[live]) * yl, a * yl[-1], b * yl[0], K < M)
+    return sigma, v[:, :npairs], v[:, -npairs:], res, lres
+
+
+def _padded_residual(r: np.ndarray, below: np.ndarray, above: np.ndarray,
+                     padded: bool) -> np.ndarray:
+    """The norms of the window residual columns ``r``, with the rows
+    +-(K + 1) of the M-truncation, ``below`` and ``above`` the window,
+    when the window is narrower than M."""
+    if not padded:
+        return np.linalg.norm(r, axis=0)
+    return np.linalg.norm(np.vstack([r, below, above]), axis=0)
 
 
 #: pi - math.pi, the part of pi that a double drops.
@@ -872,7 +943,9 @@ class BandSolver:
         cluster; a simple pair its block vectors leave short of the
         certificate takes one ``direct_pair`` on the M-truncation from its
         block eigenvalue, kept when it stays nearest that eigenvalue.  Every
-        other node goes through ``_inverse_iteration`` in chunks of at
+        other node goes through ``_inverse_iteration`` on the tracking's
+        window k = -window_M..window_M (widened for a pair that outgrows
+        it; the vectors padded to M and certified on M), in chunks of at
         most about ``BATCH_PAIRS`` pairs, with each band's
         endpoint partners (-n and -n-1) among the labels and the curve
         values as shifts (the free values for a partner the curves do not
@@ -966,7 +1039,7 @@ class BandSolver:
         nn, nl = shifts.shape
         lam, x, y, res, lres = _inverse_iteration(
             self.pot, self.M, np.repeat(nodes, nl), shifts.ravel(),
-            np.tile(every, nn))
+            np.tile(every, nn), self.curves.window_M)
         lam, res, lres = (g.reshape(nn, nl) for g in (lam, res, lres))
         cert = _certificate(_scale(self.pot, nodes, self.M))[:, None]
         off = ~np.eye(nl, dtype=bool)

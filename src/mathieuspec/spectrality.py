@@ -100,34 +100,46 @@ def _projection_norms(solver: flq.BandSolver, ts, ns):
 def dn_profile(pot: MathieuPotential, n: int, t_grid,
                solver: Optional[flq.BandSolver] = None,
                wronskian_fraction: float = 0.12) -> ProjectionProfile:
-    """|d_n(t)| along the grid with the ODE formula as a cross-check.
+    """|d_n(t)| along the grid with the ODE formula as a cross-check; the
+    one band of ``dn_profiles``."""
+    return dn_profiles(pot, [n], t_grid, solver, wronskian_fraction)[0]
 
-    Every grid point gets the eigenvector value, from one
-    ``_projection_norms`` call; at least ``wronskian_fraction`` of the
-    valid points also get the closed-formula value.  Unresolvable points
-    are recorded, never raised.
+
+def dn_profiles(pot: MathieuPotential, ns, t_grid,
+                solver: Optional[flq.BandSolver] = None,
+                wronskian_fraction: float = 0.12) -> List[ProjectionProfile]:
+    """The profile of |d_n(t)| of each band of ``ns`` along the grid.
+
+    Every grid point of every band gets the eigenvector value, from one
+    ``_projection_norms`` call; at least ``wronskian_fraction`` of a
+    band's valid points also get the closed-formula value.  Unresolvable
+    points are recorded, never raised.
     """
+    ns = [int(n) for n in ns]
     if solver is None:
-        solver = make_solver(pot, abs(n) + 1)
+        solver = make_solver(pot, max(abs(n) for n in ns) + 1)
     ts = np.asarray(t_grid, dtype=float)
-    d, lam, gap = (g[:, 0] for g in _projection_norms(solver, ts, [n]))
-    ok = ~np.isnan(d)
-    valid_ts = ts[ok].tolist()
-    samples = [(t, dj, "eigenvector")
-               for t, dj in zip(valid_ts, d[ok].tolist())]
     stride = max(1, int(1.0 / max(wronskian_fraction, 1e-6)))
-    for t, lj in list(zip(valid_ts, lam[ok].tolist()))[::stride]:
-        try:
-            dw = dn_via_wronskian(pot, n, t, lj)
-        except (SimplenessError, MultipleEigenvalueError):
-            continue
-        samples.append((t, float(dw), "wronskian"))
-    inv = [1.0 / d for (_, d, m) in samples if m == "eigenvector" and d > 0]
-    return ProjectionProfile(n=n, samples=samples,
-                             sup_inverse=max(inv) if inv else math.inf,
-                             excluded=ts[~ok].tolist(),
-                             two_term_gap=list(zip(valid_ts,
-                                                   gap[ok].tolist())))
+    profiles = []
+    for n, d, lam, gap in zip(ns, *(g.T for g in _projection_norms(
+            solver, ts, ns))):
+        ok = ~np.isnan(d)
+        valid_ts = ts[ok].tolist()
+        samples = [(t, dj, "eigenvector")
+                   for t, dj in zip(valid_ts, d[ok].tolist())]
+        for t, lj in list(zip(valid_ts, lam[ok].tolist()))[::stride]:
+            try:
+                dw = dn_via_wronskian(pot, n, t, lj)
+            except (SimplenessError, MultipleEigenvalueError):
+                continue
+            samples.append((t, float(dw), "wronskian"))
+        inv = [1.0 / d for (_, d, m) in samples
+               if m == "eigenvector" and d > 0]
+        profiles.append(ProjectionProfile(
+            n=n, samples=samples, sup_inverse=max(inv) if inv else math.inf,
+            excluded=ts[~ok].tolist(),
+            two_term_gap=list(zip(valid_ts, gap[ok].tolist()))))
+    return profiles
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import cmath
 import collections
+import dataclasses
 import functools
 import math
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from mathieuspec import (MathieuPotential, MultipleEigenvalueError, assemble,
-                         make_solver)
+from mathieuspec import (BandSolver, MathieuPotential, MultipleEigenvalueError,
+                         assemble, make_solver)
 from mathieuspec.floquet import CLUSTER_RTOL
 
 POTS = {
@@ -223,6 +224,18 @@ def direct_band():
     def get(solver, t, n):
         return _direct_band(solver.pot, solver.M, float(t), n,
                             solver.curves.value(n, t))
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def m_truncation_bands():
+    """``solver.bands(ts, labels)`` with the batch iterating on the whole
+    M-truncation rather than the tracking's window: the reference for the
+    window route."""
+    def get(solver, ts, labels):
+        curves = dataclasses.replace(solver.curves, window_M=solver.M)
+        return BandSolver(solver.pot, curves).bands(ts, labels)
 
     return get
 

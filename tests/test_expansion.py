@@ -124,6 +124,28 @@ class TestCoefficients:
             prod = a1 * (np.exp(1j * np.outer(x, freqs)) @ (g1 * v))
             assert np.max(np.abs(prod - base)) <= 1e-12 * np.max(np.abs(base))
 
+    def test_node_axis_and_live_mask(self, solvers):
+        # nodes first: one coefficient per (node, band), as node by node;
+        # a column outside ``live`` gets 0 even with a zero pairing
+        solver = solvers("asym", n_max=5)
+        f = TestFunction("gaussian", width=1.0)
+        ts = np.array([0.3, -1.2])
+        got = solver.bands(ts, [1, 2])
+        a = coefficient_from_vectors(f, ts, solver.ks, got.right, got.left)
+        for j, t in enumerate(ts):
+            want = coefficient_from_vectors(f, t, solver.ks, got.right[j],
+                                            got.left[j])
+            assert np.all(np.abs(a[j] - want) <= 1e-14 * np.abs(want))
+        right = got.right.copy()
+        right[1, :, 0] = 0.0
+        live = np.array([[True, True], [False, True]])
+        a_live = coefficient_from_vectors(f, ts, solver.ks, right, got.left,
+                                          live)
+        assert a_live[1, 0] == 0
+        assert np.array_equal(a_live[live], a[live])
+        with pytest.raises(SimplenessError):
+            coefficient_from_vectors(f, ts, solver.ks, right, got.left)
+
     def test_parseval_free(self, solvers):
         solver = solvers("free", n_max=15, t_points=64)
         f = TestFunction("gaussian", width=0.35)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import inspect
 import math
 import re
@@ -1272,6 +1273,93 @@ class TestBatchedBands:
         solver = BandSolver(pot, track_curves(
             pot, t_grid=default_grid(16), n_range=range(-3, 4), M=12))
         assert solver.bands([t], labels).ok.all()
+
+
+def _assert_same_pairs(solver, got, want):
+    """The same verdicts, eigenvalues within 1e-13 relative, and vectors
+    within 1e-12 after phase alignment, or within the rounding of the
+    truncation over the distance to the nearest other label's eigenvalue
+    where that is larger: near t = 0 bands n and -n lie 2e-5 apart, and
+    both routes' vectors carry that rounding."""
+    assert np.array_equal(got.ok, want.ok)
+    ok = got.ok
+    assert np.all(np.abs(got.lam - want.lam)[ok]
+                  <= 1e-13 * np.maximum(np.abs(want.lam), 1.0)[ok])
+    sep = np.abs(got.lam[:, :, None] - got.lam[:, None, :])
+    sep[:, np.arange(sep.shape[1]), np.arange(sep.shape[1])] = np.inf
+    eps = np.finfo(float).eps
+    scale = flq._scale(solver.pot, got.t, solver.M)[:, None]
+    with np.errstate(divide="ignore"):     # a refused double's members
+        tol = np.maximum(1e-12, eps * scale / sep.min(axis=2))
+    j, r = np.nonzero(ok)
+    for x, w in ((got.right[j, :, r], want.right[j, :, r]),
+                 (got.left[j, :, r], want.left[j, :, r])):
+        ph = np.sum(np.conj(x) * w, axis=1)
+        gap = np.linalg.norm(x * (ph / np.abs(ph))[:, None] - w, axis=1)
+        assert np.all(gap <= tol[j, r])
+
+
+class TestWindowBatch:
+    """The batch iterates on the tracking's window k = -K..K and pads its
+    vectors with zeros to M; the same batch on the M-truncation is the
+    reference."""
+
+    @pytest.mark.parametrize("name", ["bench-sa", "bench-eq", "bench-un",
+                                      "bench-os", "asym", "large-ab"])
+    def test_matches_m_truncation(self, pots, m_truncation_bands, name):
+        from mathieuspec.expansion import _passes, make_plan
+        pot = pots[name]
+        solver = make_solver(pot, 5)
+        nodes = np.concatenate([p[0] for p in _passes(make_plan(pot, 4))]
+                               + [solver.curves.t_samples])
+        labels = solver.curves.n_values
+        got = solver.bands(nodes, labels)
+        _assert_same_pairs(solver, got,
+                           m_truncation_bands(solver, nodes, labels))
+        K = solver.curves.window_M
+        assert K < solver.M
+        if pot.ab != 0:
+            # every batch pair stayed on the window: its tail is exact zeros
+            batch = got.ok & ~got.endpoint
+            tails = got.right[:, np.abs(solver.ks) > K].transpose(0, 2, 1)
+            assert batch.sum() > 0.9 * batch.size
+            assert np.all(tails[batch] == 0)
+
+    def test_widens_a_window_the_pairs_outgrow(self, pots,
+                                                m_truncation_bands):
+        # on k = -6..6 the vectors of bands 5 and 6 keep tails of order
+        # 1e-2 at the window's edge, so their padded pairs miss the
+        # M-truncation and start over on k = -12..12
+        pot = pots["bench-un"]
+        solver = make_solver(pot, 5)
+        narrow = BandSolver(pot, dataclasses.replace(solver.curves,
+                                                     window_M=6))
+        ts = np.linspace(-3.0, 3.0, 13)
+        labels = solver.curves.n_values
+        got = narrow.bands(ts, labels)
+        _assert_same_pairs(solver, got, m_truncation_bands(solver, ts, labels))
+        assert got.ok.all()
+        outer = np.abs(got.right[:, np.abs(solver.ks) > 6]).max(axis=(0, 1))
+        assert np.all(outer[np.abs(np.array(labels)) >= 5] > 1e-6)
+
+    def test_unconverged_pairs_sweep_again(self, monkeypatch):
+        # an expand job of the benchmark: after three sweeps bands 0 and -1
+        # at +-2.8594 keep residual 4.4e-10 of the scale, inside the
+        # certificate; one more sweep brings them to rounding level
+        pot = MathieuPotential(-3.10935668111782 + 1.2937094285345454j,
+                               0.8537644597722748 + 0.37043935375598724j)
+        solver = make_solver(pot, 5)
+        ts = [2.859363103445864, -2.859363103445864]
+        scale = flq._scale(pot, np.array(ts), solver.M)[:, None]
+
+        def worst(got):
+            assert got.ok.all()
+            return np.max(np.maximum(got.residual, got.left_residual)
+                          / scale)
+
+        assert worst(solver.bands(ts, [0, -1])) <= 1e-16
+        monkeypatch.setattr(flq, "EXTRA_SWEEPS", 0)
+        assert worst(solver.bands(ts, [0, -1])) > 1e-10
 
 
 # --------------------------------------------------------------------------

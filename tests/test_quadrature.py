@@ -231,3 +231,49 @@ def test_accumulator_matches_per_band_reference(dense_band, klass):
     assert rep.skipped_nodes == ref.skipped
     if klass == "os":
         assert ref.skipped > 0
+
+
+def _per_node_total(f, solver, xs, plan):
+    """(total, skipped groups) of the passes summed node by node: each
+    node's live groups, coefficients and e^{i x (2 pi k + t)} on their own,
+    with the mirrored passes resolved together as ``reconstruct`` does."""
+    passes = exp_mod._passes(plan)
+    total, skipped = np.zeros(len(xs), dtype=complex), 0
+    for (n1, w1, groups), (n2, w2, _) in zip(passes[::2], passes[1::2]):
+        nodes, weights = np.concatenate([n1, n2]), np.concatenate([w1, w2])
+        bands = sorted({n for g in groups for n in g})
+        got = solver.bands(nodes, bands)
+        for j, (t, wt) in enumerate(zip(nodes, weights)):
+            live = [g for g in groups
+                    if all(got.ok[j, bands.index(n)] for n in g)]
+            skipped += len(groups) - len(live)
+            if not live:
+                continue
+            cols = [bands.index(n) for g in live for n in g]
+            v, w = got.right[j][:, cols], got.left[j][:, cols]
+            a = coefficient_from_vectors(f, float(t), solver.ks, v, w)
+            psi = np.exp(1j * np.outer(xs, TWO_PI * solver.ks + t)) @ v
+            total += wt * (psi @ a)
+    return total, skipped
+
+
+@pytest.mark.parametrize("klass", ["un", "os"])
+@pytest.mark.parametrize("chunk", [1, 50, 64])
+def test_accumulator_chunks_sum_alike(monkeypatch, klass, chunk):
+    # the passes hold 384 nodes (and 264 in the paired form's windows),
+    # so chunks of 50, and of 64 in the paired form, end on a partial one;
+    # the one-sided potential has dead pairs near t = 0 and pi
+    pot = MathieuPotential(*BENCH_CLASSES[klass])
+    plan = make_plan(pot, 4)
+    solver = make_solver(pot, plan.n_max + 1)
+    f = TestFunction("gaussian", center=0.0, width=1.0)
+    xs = np.linspace(-2.0, 2.0, 9)
+    want, skipped = _per_node_total(f, solver, xs, plan)
+    monkeypatch.setattr(exp_mod, "NODE_CHUNK", chunk)
+    acc = exp_mod._Accumulator(f, solver, xs)
+    passes = exp_mod._passes(plan)
+    for (n1, w1, groups), (n2, w2, _) in zip(passes[::2], passes[1::2]):
+        acc.add(np.concatenate([n1, n2]), np.concatenate([w1, w2]), groups)
+    assert np.max(np.abs(acc.total - want)) <= 1e-13 * np.max(np.abs(want))
+    assert acc.skipped == skipped
+    assert (skipped > 0) == (klass == "os")

@@ -6,7 +6,7 @@ import pytest
 
 from mathieuspec import (DegenerateProductError, MathieuPotential,
                          QuadratureError, classify_operator,
-                         detect_singularities, dn_profile,
+                         detect_singularities, dn_profile, dn_profiles,
                          integral_inverse_dn, region_decomposition)
 from mathieuspec import floquet as flq
 from mathieuspec import spectrality as spc
@@ -48,6 +48,29 @@ class TestProfiles:
         logs = np.log(d)
         slope = np.polyfit(np.arange(4, 9), logs, 1)[0]
         assert abs(slope - math.log(0.5)) <= 0.25 * abs(math.log(0.5))
+
+    @pytest.mark.parametrize("name", ["asym", "gasymov"])
+    def test_profiles_share_one_bands_call(self, solvers, monkeypatch, name):
+        # every band's profile from one bands call, each as on its own
+        solver = solvers(name)
+        grid = np.linspace(-PI, PI, 33)
+        alone = [dn_profile(solver.pot, n, grid, solver=solver)
+                 for n in (1, 2, 3)]
+        calls = []
+        real = flq.BandSolver.bands
+
+        def bands(self, ts, labels):
+            calls.append(list(labels))
+            return real(self, ts, labels)
+
+        monkeypatch.setattr(flq.BandSolver, "bands", bands)
+        together = dn_profiles(solver.pot, [1, 2, 3], grid, solver=solver)
+        assert calls == [[1, 2, 3]]
+        for got, want in zip(together, alone):
+            assert got.n == want.n
+            assert got.samples == want.samples
+            assert got.excluded == want.excluded
+            assert got.two_term_gap == want.two_term_gap
 
     def test_two_term_diagnostic(self, solvers):
         solver = solvers("asym")
