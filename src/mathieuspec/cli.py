@@ -300,6 +300,7 @@ def _cmd_verify(cfg: JobConfig, out: Path) -> dict:
           fd.est_error <= 1e-10 * (1.0 + abs(lam_probe)),
           f"est_error={fd.est_error:.3e}")
 
+    solver = spc.make_solver(pot, 3, cfg.t_points)
     if pot.is_free:
         curves = flq.track_curves(pot, n_range=range(-2, 3))
         err = max(abs(curves.curves[n][j] - (2 * math.pi * n + t) ** 2)
@@ -309,14 +310,12 @@ def _cmd_verify(cfg: JobConfig, out: Path) -> dict:
     else:
         c = float(rng.uniform(0.1, 0.9))
         t_chk = 1.0
-        m_chk = flq.default_m(3)
-        w1 = np.sort_complex(np.linalg.eigvals(
-            flq.assemble(pot, t_chk, m_chk).to_dense()))
+        op = flq.assemble(pot, t_chk, solver.M)
+        w1 = np.sort_complex(np.linalg.eigvals(op.to_dense()))
         w2 = np.sort_complex(np.linalg.eigvals(
-            flq.assemble(pot.rotated(c), t_chk, m_chk).to_dense()))
+            flq.assemble(pot.rotated(c), t_chk, solver.M).to_dense()))
         drift = max(np.min(np.abs(w2 - lam)) for lam in w1)
-        scale = flq.assemble(pot, t_chk, m_chk).scale
-        check("phase-rotation-invariance", drift <= 1e-9 * scale,
+        check("phase-rotation-invariance", drift <= 1e-9 * op.scale,
               f"drift={drift:.3e} (c={c:.3f})")
 
     ok = True
@@ -347,7 +346,6 @@ def _cmd_verify(cfg: JobConfig, out: Path) -> dict:
             check("diophantine-brute-force", agree,
                   f"verdict={verdict.condition8} brute={brute_fail}")
 
-    solver = spc.make_solver(pot, 3, cfg.t_points)
     t_s = 0.83
     d, lam, _ = spc._projection_norms(solver, [t_s], [2])
     d_p, lam_p = float(d[0, 0]), complex(lam[0, 0])

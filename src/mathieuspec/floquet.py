@@ -39,6 +39,9 @@ CLUSTER_RTOL = 1e-7
 #: Grid refinement rounds ``track_curves`` spends on ambiguous matchings.
 REFINE_CAP = 6
 
+#: Slack past pi for a quasimomentum: the tracking grid's, read as pi.
+PI_SLACK = 1e-12
+
 #: ``stable_m``'s check: quasimomentum, relative eigenvalue drift, and the
 #: largest truncation tried.
 STABLE_T = 1.0
@@ -400,13 +403,13 @@ def _assign(pred: np.ndarray, lams: np.ndarray):
 def _eigenvalues(op: TruncatedOperator) -> np.ndarray:
     """Every eigenvalue of the truncation, without vectors.
 
-    The tracking hands it the narrow window of ``_window``, not the full
-    truncation.  A one-sided (bidiagonal) truncation's eigenvalues are its
-    diagonal, which a wider window only extends, so it makes no solve.
-    Hermitian inputs go through the symmetric tridiagonal solver (the
-    unitary gauge c_k -> e^{-i arg(super) k} c_k makes the matrix real
-    symmetric with off-diagonal |super|), others through LAPACK's dense
-    QR.  The
+    It makes every eigenvalue-only solve: ``stable_m``'s two checks, and
+    the tracking on the narrow window ``stable_m`` certifies.  A one-sided
+    (bidiagonal) truncation's eigenvalues are its diagonal, which a wider
+    window only extends, so it makes no solve.  Hermitian inputs go
+    through the symmetric tridiagonal solver (the unitary gauge
+    c_k -> e^{-i arg(super) k} c_k makes the matrix real symmetric with
+    off-diagonal |super|), others through LAPACK's dense QR.  The
     Hermitian solve keeps its vectors and drops them: MRRR refines the
     eigenvalues only while it computes vectors, and without them the low
     bands come out about 1e-12 relative off, for about 15% less time.
@@ -428,34 +431,60 @@ def _eigenvalues(op: TruncatedOperator) -> np.ndarray:
 WINDOW_MARGIN = 10
 
 
-def _window(pot: MathieuPotential, n_max: int, M: int,
-            full: Optional[np.ndarray] = None) -> Tuple[int, int]:
-    """The tracking's Fourier window K <= M and the eigensolves it took.
+def stable_m(pot: MathieuPotential, n_max: int,
+             M: Optional[int] = None) -> Tuple[int, int, int]:
+    """(M, K, solves): the truncation, the tracking's window K <= M and the
+    window check's eigensolves, from one pass of two checks at STABLE_T.
 
-    K starts at min(M, n_max + WINDOW_MARGIN).  At t = STABLE_T every
-    eigenvalue of the K-window with |lambda| <= (2 pi (n_max + 1))^2 must
-    lie within 10 eps scale(M) of an eigenvalue of the M-truncation
-    (``full``, solved here when not given); K doubles until they do, up to
-    M.  A one-sided window needs no check: its eigenvalues are diagonal
-    entries of the M-truncation.
+    Unless M is given, it starts at ``default_m(n_max)`` and doubles, up
+    to M_CAP, until the eigenvalues in |lambda| <= (2 pi n_max)^2 move by
+    less than STABLE_RTOL*(1+|lambda|) from M to M + 10.  K starts at
+    min(M, n_max + WINDOW_MARGIN) and doubles, up to M, until every
+    K-window eigenvalue in |lambda| <= (2 pi (n_max + 1))^2 lies within
+    10 eps scale(M) of one of the M-truncation, whose solve the first
+    check shares (``solves`` counts it only when M is given).  A one-sided
+    potential, whose eigenvalues are the diagonal, needs no solve.  Raises
+    ValidationError for a given M < n_max + 1, TrackingAmbiguityError
+    when M does not stabilize below M_CAP.
     """
+    check_m = M is None
+    if check_m:
+        M = default_m(n_max)
+    elif M < n_max + 1:
+        raise ValidationError(
+            f"truncation M={M} cannot hold the labels |n| <= {n_max}: "
+            f"M must be >= {n_max + 1}")
+    if pot.a == 0 or pot.b == 0:
+        return M, min(M, n_max + WINDOW_MARGIN), 0
+
+    def spectrum(m: int) -> np.ndarray:
+        return _eigenvalues(assemble(pot, STABLE_T, m))
+
+    full = None
+    while check_m:
+        full, wider = spectrum(M), spectrum(M + 10)
+        w = full[np.abs(full) <= (TWO_PI * n_max) ** 2 + 1.0]
+        drift = np.min(np.abs(w[:, None] - wider[None, :]), axis=1)
+        if np.all(drift <= STABLE_RTOL * (1.0 + np.abs(w))):
+            break
+        if M >= M_CAP:
+            raise TrackingAmbiguityError(
+                f"truncation did not stabilize below M={M_CAP}")
+        M *= 2
     K = min(M, n_max + WINDOW_MARGIN)
     solves = 0
-    if pot.a == 0 or pot.b == 0:
-        return K, solves
     tol = 10.0 * np.finfo(float).eps * float(_scale(pot, STABLE_T, M))
-    bound = (TWO_PI * (n_max + 1)) ** 2
     while K < M:
         if full is None:
-            full = _reference_spectrum(pot, M)
+            full = spectrum(M)
             solves += 1
-        w = _eigenvalues(assemble(pot, STABLE_T, K))
+        w = spectrum(K)
         solves += 1
-        w = w[np.abs(w) <= bound]
+        w = w[np.abs(w) <= (TWO_PI * (n_max + 1)) ** 2]
         if np.all(np.min(np.abs(w[:, None] - full[None, :]), axis=1) <= tol):
             break
         K = min(2 * K, M)
-    return K, solves
+    return M, K, solves
 
 
 def track_curves(pot: MathieuPotential, t_grid: Optional[np.ndarray] = None,
@@ -469,31 +498,24 @@ def track_curves(pot: MathieuPotential, t_grid: Optional[np.ndarray] = None,
     M-truncation), up to ``REFINE_CAP`` rounds; leftover ambiguities are
     reported on the result rather than raised.
 
-    Only eigenvalues are solved, and only on the central window
-    k = -K..K that ``_window`` certifies against the M-truncation
-    (K = min(M, n_max + 10) unless the check widens it); the margin, and
-    every eigenpair read later, stay on M.  ``eigensolves`` on the result
-    counts one solve per grid point, refinements included, plus those of
-    the window check (``stable_m``'s are its own); a one-sided potential
-    makes none.  Raises ValidationError when M < n_max + 1.
+    M (``stable_m``'s unless given) and the central window k = -K..K come
+    from one ``stable_m`` call; only eigenvalues are solved, and only on
+    the window (K = min(M, n_max + 10) unless the check widens it); the
+    margin, and every eigenpair read later, stay on M.  ``eigensolves`` on
+    the result counts one solve per grid point, refinements included, plus
+    the window check's (with a given M, its solve on M too); a one-sided
+    potential makes none.  Raises ValidationError when M < n_max + 1.
     """
     if n_range is None:
         n_range = range(-3, 4)
     labels = sorted(int(n) for n in n_range)
     n_max = max(abs(n) for n in labels)
-    full = None
-    if M is None:
-        M, full = stable_m(pot, n_max, with_spectrum=True)
-    if M < n_max + 1:
-        raise ValidationError(
-            f"truncation M={M} cannot hold the labels |n| <= {n_max}: "
-            f"M must be >= {n_max + 1}")
-    K, solves = _window(pot, n_max, M, full)
+    M, K, solves = stable_m(pot, n_max, M)
     one_sided = pot.a == 0 or pot.b == 0
     if t_grid is None:
         t_grid = default_grid()
     t_grid = np.unique(np.asarray(t_grid, dtype=float))
-    if t_grid[0] < 0 or t_grid[-1] > math.pi + 1e-12:
+    if t_grid[0] < 0 or t_grid[-1] > math.pi + PI_SLACK:
         raise ValidationError("tracking grid must lie in [0, pi]")
 
     cache: Dict[float, Tuple[np.ndarray, float]] = {}
@@ -582,39 +604,6 @@ def track_curves(pot: MathieuPotential, t_grid: Optional[np.ndarray] = None,
 
 def _c2l(z: complex) -> list:
     return [float(np.real(z)), float(np.imag(z))]
-
-
-def _reference_spectrum(pot: MathieuPotential, M: int) -> np.ndarray:
-    """Every eigenvalue of the M-truncation at t = STABLE_T, by dense QR."""
-    return np.asarray(sla.eigvals(assemble(pot, STABLE_T, M).to_dense()))
-
-
-def stable_m(pot: MathieuPotential, n_max: int, with_spectrum: bool = False):
-    """Smallest M (from the heuristic) passing the truncation check.
-
-    At t = STABLE_T, eigenvalues in the window |lambda| <= (2 pi n_max)^2
-    must move by less than STABLE_RTOL*(1+|lambda|) when M grows by 10; M
-    doubles until they do, up to M_CAP.  A one-sided potential passes at
-    once: its eigenvalues are the diagonal, which a larger M only extends.
-    With ``with_spectrum`` it returns (M, the eigenvalues of the accepted
-    M-truncation at STABLE_T), the second None for a one-sided potential,
-    so that the tracking's window check reuses the solve.
-    """
-    M = default_m(n_max)
-    if pot.ab == 0:
-        return (M, None) if with_spectrum else M
-    window = (TWO_PI * n_max) ** 2 + 1.0
-    while True:
-        w1 = _reference_spectrum(pot, M)
-        w2 = _reference_spectrum(pot, M + 10)
-        sel = np.abs(w1) <= window
-        drift = np.array([np.min(np.abs(w2 - lam)) for lam in w1[sel]])
-        if np.all(drift <= STABLE_RTOL * (1.0 + np.abs(w1[sel]))):
-            return (M, w1) if with_spectrum else M
-        if M >= M_CAP:
-            raise TrackingAmbiguityError(
-                f"truncation did not stabilize below M={M_CAP}")
-        M *= 2
 
 
 # --------------------------------------------------------------------------
@@ -925,8 +914,9 @@ class BandSolver:
     def bands(self, ts, labels) -> BandBatch:
         """Every (t, n) pair of ``ts`` x ``labels``.
 
-        Each distinct |t| is resolved once; -pi is read as pi.  A negative
-        t is reflected from -t: with P the reversal k -> -k,
+        Each distinct |t| is resolved once; -pi, and a |t| past pi within
+        PI_SLACK, is read as pi, and a |t| beyond raises ValidationError.
+        A negative t is reflected from -t: with P the reversal k -> -k,
         H_{-t} = P H_t^T P entry for entry, truncation included, so if
         A v = lam v and A^H w = conj(lam) w at t, then P conj(w) is a right
         and P conj(v) a left eigenvector of H_{-t} for the same lam, and
@@ -958,7 +948,11 @@ class BandSolver:
         fallback.
         """
         ts = np.asarray(ts, dtype=float)
-        ts = np.where(ts == -math.pi, math.pi, ts)
+        far = np.abs(ts) > math.pi + PI_SLACK
+        if np.any(far):
+            raise ValidationError(f"quasimomentum t={float(ts[far][0])!r} "
+                                  "lies outside [-pi, pi]")
+        ts = np.where(np.abs(ts) >= math.pi, math.pi, ts)
         labels = [int(n) for n in labels]
         nodes, back = np.unique(np.abs(ts), return_inverse=True)
         size, nl = 2 * self.M + 1, len(labels)

@@ -303,7 +303,9 @@ def detect_singularities(pot: MathieuPotential, window: Tuple[float, float],
     (``floquet.endpoint_spectrum``): a candidate with no matching
     eigenvalue cluster there is re-classified interior; a cluster within
     one parity block is deficient, and those become ESS, with the local
-    integral of |d_n|^-1 recorded as evidence.
+    integral of |d_n|^-1 recorded as evidence.  The endpoint spectra are
+    solved at the M of the solver the integrals run on: the given one's,
+    or the ``stable_m`` of the one ``make_solver`` would build.
 
     Returns (singularities, ess_records).
     """
@@ -312,12 +314,16 @@ def detect_singularities(pot: MathieuPotential, window: Tuple[float, float],
     ess: List[EssRecord] = []
     n_hint = max(2, int(math.sqrt(max(window[1], 1.0)) / TWO_PI) + 1)
     endpoint_cache = {}
+    endpoint_m = None if solver is None else solver.M
     spans = {}      # span -> the ESS records whose integral covers it
 
     def endpoint_solution(at_pi: bool):
+        nonlocal endpoint_m
         if at_pi not in endpoint_cache:
+            if endpoint_m is None:
+                endpoint_m = flq.stable_m(pot, n_hint + 1)[0]
             endpoint_cache[at_pi] = flq.endpoint_spectrum(
-                pot, math.pi if at_pi else 0.0, flq.default_m(n_hint + 2))
+                pot, math.pi if at_pi else 0.0, endpoint_m)
         return endpoint_cache[at_pi]
 
     for cp in cps:

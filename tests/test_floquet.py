@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mathieuspec import (BandSolver, MathieuPotential,
-                         MultipleEigenvalueError, ValidationError, assemble,
+                         MultipleEigenvalueError, TrackingAmbiguityError,
+                         ValidationError, assemble,
                          default_grid, detect_singularities, dn_profile,
                          endpoint_spectrum, free_lambda,
                          fundamental_solutions, make_solver, track_curves)
@@ -587,6 +588,21 @@ class TestBandEdgeInputs:
         assert abs(d_ref - d_dir) <= max(
             1e-10, np.finfo(float).eps * op.scale / gap)
 
+    @pytest.mark.parametrize("t, resolves", [
+        (4.0, False), (PI + 1e-9, False), (-PI, True), (PI + 5e-13, True)])
+    def test_quasimomentum_past_pi(self, solvers, t, resolves):
+        # |t| up to pi + PI_SLACK, the tracking grid's slack, is read as
+        # pi; beyond it the input is rejected, not refused as not simple
+        solver = solvers("asym")
+        if not resolves:
+            with pytest.raises(ValidationError):
+                solver.bands([t], [1, 2])
+            return
+        got = solver.bands([t], [1, 2])
+        assert got.t[0] == PI and got.ok.all()
+        want = solver.bands([PI], [1, 2])
+        assert np.array_equal(got.lam, want.lam)
+
 
 def test_eigen_solutions_read_only_in_floquet():
     # every other module gets a band's vectors from BandSolver.bands, no
@@ -698,12 +714,25 @@ class TestTracking:
             assert drift <= 1e-9 * scale
 
     def test_truncation_stability(self):
-        m = stable_m(MathieuPotential(1, 2), 5)
+        m = stable_m(MathieuPotential(1, 2), 5)[0]
         w1 = sla.eigvals(assemble(MathieuPotential(1, 2), 1.0, m).to_dense())
         w2 = sla.eigvals(assemble(MathieuPotential(1, 2), 1.0, m + 10).to_dense())
         sel = np.abs(w1) <= (TWO_PI * 5) ** 2
         for lam in w1[sel]:
             assert np.min(np.abs(w2 - lam)) <= 1e-9 * (1 + abs(lam))
+
+    @pytest.mark.xfail(strict=True, raises=TrackingAmbiguityError,
+                       reason="ROADMAP item 6: the drift check solves the "
+                              "unbalanced matrix, |b/a| = 5.3e5 here")
+    def test_skewed_couplings_stabilize(self):
+        # F and every eigenvalue depend on ab alone, so the skewed pair
+        # should pass where its balanced pair (sqrt(ab), sqrt(ab)) does,
+        # at M = 32; stable_m raises at M_CAP instead
+        pot = MathieuPotential(8.860414957955822e-05 - 0.001098379475076661j,
+                               328.75015871204556 - 482.2938153941325j)
+        g = cmath.sqrt(pot.ab)
+        assert stable_m(MathieuPotential(g, g), 8)[0] == 32
+        assert stable_m(pot, 8)[0] == 32
 
     def test_default_grid_shape(self):
         g = default_grid(96)
@@ -792,8 +821,12 @@ class TestTrackingWindow:
         # labels and ambiguities, with the curves to 2e-11 relative
         pot, labels = pots[name], range(-n_max, n_max + 1)
         narrow = track_curves(pot, default_grid(96), labels)
-        monkeypatch.setattr(flq, "_window",
-                            lambda pot, n_max, M, full=None: (M, 0))
+
+        def whole_window(*args, _real=flq.stable_m):
+            M = _real(*args)[0]
+            return M, M, 0
+
+        monkeypatch.setattr(flq, "stable_m", whole_window)
         wide = track_curves(pot, default_grid(96), labels)
         assert wide.window_M == wide.M == narrow.M
         assert np.array_equal(wide.t_samples, narrow.t_samples)
@@ -814,7 +847,7 @@ class TestTrackingWindow:
         # outside the window check's one solve on M, no eigensolve is
         # larger than the window; every solve is counted
         pot = MathieuPotential(*amps)
-        M = stable_m(pot, n_max)
+        M = stable_m(pot, n_max)[0]
         eigensolve_sizes.clear()
         curves = track_curves(pot, default_grid(32),
                               range(-n_max, n_max + 1), M=M)
@@ -829,17 +862,18 @@ class TestTrackingWindow:
                 >= len(curves.t_samples)
 
     def test_shares_stable_m_solve(self, eigensolve_sizes):
-        # with M from stable_m, the window check reuses its solve on M:
-        # beyond stable_m's own solves the tracking makes window solves only
+        # the window check reuses the drift check's solve on M, and the
+        # tracking calls stable_m once: beyond it, window solves only
         pot = MathieuPotential(1, 2)
-        M = stable_m(pot, 6)
+        M, K, solves = stable_m(pot, 6)
         own = list(eigensolve_sizes)
+        assert own == [2 * M + 1, 2 * M + 21] + [2 * K + 1] * solves
         eigensolve_sizes.clear()
         curves = track_curves(pot, default_grid(32), range(-6, 7))
-        assert curves.M == M
+        assert (curves.M, curves.window_M) == (M, K)
         assert eigensolve_sizes[:len(own)] == own
         assert eigensolve_sizes[len(own):] \
-            == [2 * curves.window_M + 1] * curves.eigensolves
+            == [2 * K + 1] * (curves.eigensolves - solves)
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_m_below_labels_rejected(self, m):

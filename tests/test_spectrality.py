@@ -240,6 +240,28 @@ class TestDetection:
         _, ess = detect_singularities(pot, window)
         assert len(ess) == builds == len(calls)
 
+    def test_endpoint_solves_at_the_solver_m(self, monkeypatch):
+        # around (12 pi)^2 the solver of the ESS integrals takes M = 32
+        # (stable_m for bands up to 8); the endpoint verdict runs on it
+        pot = MathieuPotential(0, 1)
+        c, h = (12 * PI) ** 2, 0.7 * 12 * PI
+        ends, built = [], []
+        real_end, real_make = flq.endpoint_spectrum, spc.make_solver
+
+        def endpoint(pot, t, M):
+            ends.append(M)
+            return real_end(pot, t, M)
+
+        def make_solver(*args):
+            built.append(real_make(*args))
+            return built[-1]
+
+        monkeypatch.setattr(flq, "endpoint_spectrum", endpoint)
+        monkeypatch.setattr(spc, "make_solver", make_solver)
+        _, ess = detect_singularities(pot, (c - h, c + h))
+        assert len(ess) == 1 and len(built) == 1
+        assert ends and set(ends) == {built[0].M} == {32}
+
     def test_ess_integrals_share_their_nodes(self, monkeypatch):
         # (2 pi)^2 and (4 pi)^2 are ESS of the periodic family, bands 1 and
         # 2, whose integrals share the span (0, 0.05); (3 pi)^2 has the
