@@ -454,8 +454,10 @@ def stable_m(pot: MathieuPotential, n_max: int,
         raise ValidationError(
             f"truncation M={M} cannot hold the labels |n| <= {n_max}: "
             f"M must be >= {n_max + 1}")
+    # a checked M starts at default_m > n_max + 10: doubling it keeps K
+    K = min(M, n_max + WINDOW_MARGIN)
     if pot.a == 0 or pot.b == 0:
-        return M, min(M, n_max + WINDOW_MARGIN), 0
+        return M, K, 0
 
     def spectrum(m: int) -> np.ndarray:
         return _eigenvalues(assemble(pot, STABLE_T, m))
@@ -471,7 +473,6 @@ def stable_m(pot: MathieuPotential, n_max: int,
             raise TrackingAmbiguityError(
                 f"truncation did not stabilize below M={M_CAP}")
         M *= 2
-    K = min(M, n_max + WINDOW_MARGIN)
     solves = 0
     tol = 10.0 * np.finfo(float).eps * float(_scale(pot, STABLE_T, M))
     while K < M:
