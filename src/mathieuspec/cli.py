@@ -135,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sp = sub.add_parser(name)
-        sp.add_argument("--a", help='complex literal "RE" or "RE+IMi"')
-        sp.add_argument("--b", help='complex literal "RE" or "RE-IMi"')
+        sp.add_argument("--a", help='complex literal "RE", "RE+IMi" or "IMi"')
+        sp.add_argument("--b", help='complex literal "RE", "RE-IMi" or "-IMi"')
         sp.add_argument("--alpha-exact", dest="alpha",
                         help='exact rational "m/q" for arg(ab)/pi')
         sp.add_argument("--nmax", dest="n_max", type=int)

@@ -1,4 +1,4 @@
-"""Hill discriminant from a batched fourth-order Magnus monodromy.
+"""Hill discriminant from a batched sixth-order Magnus monodromy.
 
 theta and phi solve -y'' + q y = lambda y on [0, 1] with theta(0) = 1,
 theta'(0) = 0, phi(0) = 0, phi'(0) = 1; the discriminant is
@@ -6,18 +6,21 @@ F(lambda) = phi'(1) + theta(1) and eigenvalues of the quasimomentum-t
 family solve F(lambda) = 2 cos t.
 
 The monodromy Y(1) = [[theta, phi], [theta', phi']](1) is the product of N
-step propagators exp(Omega), each a fourth-order Magnus step on the two
-Gauss-Legendre nodes of its step (Iserles, Munthe-Kaas, Norsett & Zanna,
-"Lie-group methods", Acta Numerica 9 (2000), section 4).  Omega is a
-traceless 2x2 matrix, linear in lambda, so exp(Omega) and its first two
+step propagators exp(Omega), each a sixth-order Magnus step on the three
+Gauss-Legendre nodes of its step (Blanes, Casas, Oteo & Ros, "The Magnus
+expansion and some of its applications", Phys. Rep. 470 (2009); Iserles &
+Norsett, Phil. Trans. R. Soc. A 357 (1999)).  Omega is a traceless 2x2
+matrix, affine in lambda, so exp(Omega) and its first two
 lambda-derivatives are closed forms; the product rule carries all three
 through one pairwise tree, which gives F' and F'' of the same
 discretization exactly, never by finite differences.  The arithmetic is
 element-wise over an array of lambda values, so a lambda's result does not
-depend on the batch it was computed in.  N doubles until F moves by less
-than a tolerance between N/2 and N steps, and that move is the error
-estimate; the Wronskian identity det Y = 1, which a Magnus step keeps by
-construction, is checked only for rounding.
+depend on the batch it was computed in.  N doubles from 256 until F and
+every entry of Y move by less than a tolerance between N/2 and N steps;
+the move of F is the error estimate, and the two runs' Richardson step
+(fine - coarse)/63 gives the returned values.  The Wronskian identity
+det Y = 1, which a Magnus step keeps by construction, is checked only for
+rounding.
 
 Everything here is independent of the Fourier matrix engine, which makes
 it the cross-check oracle for eigenvalues and for the projection norms
@@ -47,13 +50,16 @@ TWO_PI = 2.0 * math.pi
 _PHI_SWITCH = 1e-3
 
 #: Steps of the first run, which is compared with a run of half as many;
-#: N doubles from here up to _N_CAP.
-_N_START = 1024
+#: N doubles from here up to _N_CAP.  On the benchmark's seeds 1-10 two
+#: thirds to four fifths of the certified lambdas stop here, the rest at 512.
+_N_START = 256
 _N_CAP = 16384
-#: N doubles while |F_N - F_{N/2}| > _EST_TOL (1 + |lambda|) max(1, |F_N|),
-#: unless that move shrank less than 4x in the last doubling and is below
+#: N doubles while F or an entry of Y moves by more than
+#: _EST_TOL (1 + |lambda|) max(1, |F_N|) from N/2 to N steps, unless the
+#: move of F shrank less than 4x in the last doubling and is below
 #: _STALL_TOL (1 + |lambda|) max(1, |F_N|): then rounding, not the step,
-#: limits F.  Every error estimate is the move plus _EST_TOL (1 + |lambda|).
+#: limits F.  Every error estimate is the move of F plus
+#: _EST_TOL (1 + |lambda|).
 _EST_TOL = 2e-14
 _STALL_TOL = 1e-11
 #: A Wronskian defect above this means rounding has swamped the monodromy.
@@ -61,9 +67,12 @@ _DEFECT_CAP = 1e-10
 #: lambda values times steps per array pass, which bounds scratch memory.
 _CHUNK_STEPS = 8192
 
-_SQRT3 = math.sqrt(3.0)
-#: The two Gauss-Legendre nodes of a step, as fractions of the step.
-_GAUSS2 = np.array([0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0])
+_SQRT15 = math.sqrt(15.0)
+#: The three Gauss-Legendre nodes of a step, as fractions of the step.
+_GAUSS3 = np.array([0.5 - _SQRT15 / 10.0, 0.5, 0.5 + _SQRT15 / 10.0])
+#: The Richardson divisor 2^p - 1 of the symmetric order-6 step: the
+#: returned values are fine + (fine - coarse) / _RICHARDSON.
+_RICHARDSON = 63.0
 
 #: Taylor coefficients in sigma of c1 = cosh(sqrt(sigma)) - 1 (over sigma),
 #: s = sinh(sqrt(sigma)) / sqrt(sigma), ds/dsigma and d2s/dsigma2, used
@@ -125,22 +134,36 @@ class FundamentalData:
 # --------------------------------------------------------------------------
 
 def _omega_coeffs(pot: MathieuPotential, x0, s):
-    """alpha, beta of the Magnus exponent of the step [x0, x0 + s].
+    """The lambda-free parts of the Magnus exponent of the step [x0, x0 + s].
 
-    With A = [[0, 1], [q - lambda, 0]] at the two Gauss nodes,
-    Omega = s/2 (A1 + A2) + sqrt(3) s^2/12 [A2, A1]
-          = [[alpha, s], [beta - s lambda, -alpha]].
+    The sixth-order exponent on the three Gauss-Legendre nodes (Blanes,
+    Casas, Oteo & Ros, Phys. Rep. 470 (2009)) with
+    A = [[0, 1], [q - lambda, 0]], A_i = A(x0 + c_i s) and
+    a1 = s A2, a2 = sqrt(15) s/3 (A3 - A1), a3 = 10 s/3 (A3 - 2 A2 + A1):
+    Omega = a1 + a3/12 - [a1, a2]/12 + [a2, a3]/240 + [a1, [a1, a3]]/360
+            - [a2, [a1, a2]]/240 + [a1, [a1, [a1, a2]]]/720.
+    a2 and a3 are multiples of [[0, 0], [1, 0]], so the nested commutators
+    close on sl(2) and Omega = [[alpha, kappa], [gamma, -alpha]] with
+    alpha = alpha0 - lambda e and gamma = gamma0 - lambda f.  Returns
+    (alpha0, e, kappa, gamma0, f).
     """
-    x = np.asarray(x0)[..., None] + np.asarray(s)[..., None] * _GAUSS2
+    x = np.asarray(x0)[..., None] + np.asarray(s)[..., None] * _GAUSS3
     q = pot.a * np.exp(-2j * np.pi * x) + pot.b * np.exp(2j * np.pi * x)
-    alpha = (_SQRT3 / 12.0) * s * s * (q[..., 0] - q[..., 1])
-    beta = 0.5 * s * (q[..., 0] + q[..., 1])
-    return alpha, beta
+    q1, q2, q3 = q[..., 0], q[..., 1], q[..., 2]
+    p = (_SQRT15 / 3.0) * s * (q3 - q1)
+    r = (10.0 / 3.0) * s * (q3 - 2.0 * q2 + q1)
+    sp = s * p
+    f = s * (1.0 + s * r / 180.0)
+    kappa = s * (1.0 - s * r / 180.0)
+    e = s * s * sp / 180.0
+    alpha0 = sp * (s * s * q2 / 180.0 - 1.0 / 12.0)
+    gamma0 = f * q2 + r / 12.0 - sp * p / 120.0
+    return alpha0, e, kappa, gamma0, f
 
 
 @functools.lru_cache(maxsize=8)
 def _step_coeffs(pot: MathieuPotential, n: int):
-    """alpha, beta of the n equal steps across [0, 1] (shared, read-only)."""
+    """_omega_coeffs of the n equal steps across [0, 1] (shared, read-only)."""
     coeffs = _omega_coeffs(pot, np.arange(n) / n, 1.0 / n)
     for c in coeffs:
         c.setflags(write=False)
@@ -177,25 +200,32 @@ def _cosh_sinc(sigma):
     return c1, s, s1, s2
 
 
-def _propagators(alpha, beta, h, lam):
+def _propagators(coeffs, lam):
     """exp(Omega) - I and the first two lambda-derivatives of exp(Omega).
 
-    exp(Omega) = c I + s Omega with sigma = -det Omega; sigma and Omega are
-    linear in lambda (d sigma = -h^2, d Omega = [[0, 0], [-h, 0]]).  The
+    exp(Omega) = c I + s Omega with sigma = -det Omega = alpha^2 + kappa gamma.
+    Omega is affine in lambda (d Omega = [[-e, 0], [-f, e]]), so sigma is
+    quadratic (d sigma = -2 e alpha - kappa f, d2 sigma = 2 e^2).  The
     identity is split off so that a near-identity step keeps its small
     part to full relative precision.  Each result is a list of the
     components 00, 01, 10, 11 as (lambda, step) arrays.
     """
-    g = beta - h * lam[:, None]
-    sigma = alpha * alpha + h * g
+    alpha0, e, kappa, gamma0, f = coeffs
+    alpha = alpha0 - lam[:, None] * e
+    gamma = gamma0 - lam[:, None] * f
+    sigma = alpha * alpha + kappa * gamma
     c1, s, s1, s2 = _cosh_sinc(sigma)
-    ds = -h * h
+    ds = -2.0 * e * alpha - kappa * f
+    dds = 2.0 * e * e
     c_l, s_l = 0.5 * ds * s, ds * s1
-    c_ll, s_ll = 0.5 * ds * ds * s1, ds * ds * s2
-    sa, sa_l, sa_ll = s * alpha, s_l * alpha, s_ll * alpha
-    x = [c1 + sa, s * h, s * g, c1 - sa]
-    e_l = [c_l + sa_l, s_l * h, s_l * g - s * h, c_l - sa_l]
-    e_ll = [c_ll + sa_ll, s_ll * h, s_ll * g - 2.0 * h * s_l, c_ll - sa_ll]
+    c_ll = 0.5 * (ds * ds * s1 + dds * s)
+    s_ll = ds * ds * s2 + dds * s1
+    sa, sa_l, sa_ll = s * alpha, s_l * alpha - s * e, \
+        s_ll * alpha - 2.0 * s_l * e
+    x = [c1 + sa, s * kappa, s * gamma, c1 - sa]
+    e_l = [c_l + sa_l, s_l * kappa, s_l * gamma - s * f, c_l - sa_l]
+    e_ll = [c_ll + sa_ll, s_ll * kappa, s_ll * gamma - 2.0 * s_l * f,
+            c_ll - sa_ll]
     return x, e_l, e_ll
 
 
@@ -218,8 +248,7 @@ def _monodromy(pot: MathieuPotential, lam: np.ndarray, n: int) -> np.ndarray:
     I + (Xa + Xb + Xa Xb), with (Y', Y'') carried by the product rule; n is
     a power of two.
     """
-    alpha, beta = _step_coeffs(pot, n)
-    x, p_l, p_ll = _propagators(alpha, beta, 1.0 / n, lam)
+    x, p_l, p_ll = _propagators(_step_coeffs(pot, n), lam)
     while x[0].shape[1] > 1:
         xa, a_l, a_ll = ([m[:, 1::2] for m in v] for v in (x, p_l, p_ll))
         xb, b_l, b_ll = ([m[:, 0::2] for m in v] for v in (x, p_l, p_ll))
@@ -238,9 +267,8 @@ def _dense_values(pot: MathieuPotential, lam: complex, n: int) -> np.ndarray:
     k/n; one partial Magnus step carries Y from the boundary below each
     node to the node.
     """
-    alpha, beta = _step_coeffs(pot, n)
     lam_arr = np.array([lam], dtype=complex)
-    y = [m[0] for m in _propagators(alpha, beta, 1.0 / n, lam_arr)[0]]
+    y = [m[0] for m in _propagators(_step_coeffs(pot, n), lam_arr)[0]]
     d = 1
     while d < n:
         ya, yb = [m[d:] for m in y], [m[:-d] for m in y]
@@ -250,12 +278,11 @@ def _dense_values(pot: MathieuPotential, lam: complex, n: int) -> np.ndarray:
     # y[k] = Y((k + 1)/n) - I; the boundary below step k is k/n
     k = np.minimum((_NORM_XS * n).astype(int), n - 1)
     yk = [np.concatenate(([0.0], m[:-1]))[k] for m in y]
-    s = _NORM_XS - k / n
-    alpha_s, beta_s = _omega_coeffs(pot, k / n, s)
-    g = beta_s - s * lam
-    c1, sh = _cosh_sinc(alpha_s * alpha_s + s * g)[:2]
+    alpha0, e, kappa, gamma0, f = _omega_coeffs(pot, k / n, _NORM_XS - k / n)
+    alpha = alpha0 - lam * e
+    c1, sh = _cosh_sinc(alpha * alpha + kappa * (gamma0 - lam * f))[:2]
     # row 0 of (I + X)(I + Yk)
-    x00, x01 = c1 + sh * alpha_s, sh * s
+    x00, x01 = c1 + sh * alpha, sh * kappa
     return np.array([1.0 + x00 + yk[0] + x00 * yk[0] + x01 * yk[2],
                      x01 + yk[1] + x00 * yk[1] + x01 * yk[3]])
 
@@ -265,8 +292,8 @@ def _integrate(pot: MathieuPotential, lams: Sequence[complex],
     """Certified monodromy data for each lambda.
 
     Each lambda doubles its own step count from _N_START while the move of
-    F from N/2 to N steps is above tolerance; the lambdas that go on are
-    redone together.  Raises StepSizeUnderflowError when _N_CAP steps are
+    F or of an entry of Y from N/2 to N steps is above tolerance; the
+    lambdas that go on are redone together.  Raises StepSizeUnderflowError when _N_CAP steps are
     not enough, or when the monodromy overflows or loses its Wronskian
     identity to rounding.
     """
@@ -286,9 +313,12 @@ def _integrate(pot: MathieuPotential, lams: Sequence[complex],
             # F - 2 = tr(Y - I)
             f2 = fine[0, 0] + fine[0, 3]
             move = np.abs(f2 - coarse[0, 0] - coarse[0, 3])
+            # every entry of Y too: at large |lambda| F settles at fewer
+            # steps than theta and theta' do
+            worst = np.maximum(move, np.abs(fine[0] - coarse[0]).max(axis=0))
             scale = (1.0 + np.abs(lam[todo])) * np.maximum(1.0,
                                                            np.abs(f2 + 2.0))
-            done = (move <= _EST_TOL * scale) | (
+            done = (worst <= _EST_TOL * scale) | (
                 (4.0 * move > last) & (move <= _STALL_TOL * scale))
             if n >= _N_CAP and not done.all():
                 raise StepSizeUnderflowError(
@@ -307,8 +337,7 @@ def _integrate(pot: MathieuPotential, lams: Sequence[complex],
 def _certified(pot: MathieuPotential, lam: complex, fine, coarse,
                move: float, n: int, dense: bool) -> FundamentalData:
     """FundamentalData of one lambda from its runs on n/2 and n steps."""
-    # the Richardson step of a symmetric fourth-order method
-    y = fine + (fine - coarse) / 15.0
+    y = fine + (fine - coarse) / _RICHARDSON
     y[0, [0, 3]] += 1.0
     # components 00, 10, 01, 11: theta, theta', phi, phi'
     v = [complex(z) for z in y[:, [0, 2, 1, 3]].ravel()]
@@ -519,8 +548,9 @@ def _phase_winding(pot: MathieuPotential, g, corners) -> int:
 
     Tracks the argument of g with adaptive bisection until consecutive
     phase increments stay below pi/2; raises ContourError when a sample
-    lands on (numerically) zero.  The initial samples are one batch; the
-    bisection midpoints are evaluated one at a time.
+    lands on (numerically) zero.  Whether an interval is split depends on
+    its endpoints alone, so each round of splits is one batch: the initial
+    samples, then the midpoints of every interval that still jumps.
     """
     pts: List[complex] = []
     for i in range(len(corners)):
@@ -528,27 +558,36 @@ def _phase_winding(pot: MathieuPotential, g, corners) -> int:
         for j in range(_SIDE_POINTS):
             pts.append(z0 + (z1 - z0) * j / _SIDE_POINTS)
     vals = [g(fd) for fd in _fundamental_batch(pot, pts)]
-    total = 0.0
-    i = 0
-    n = len(pts)
-    guard = 40 * n * _PHASE_DEPTH
-    while i < n and guard > 0:
-        guard -= 1
-        z0, z1 = pts[i], pts[(i + 1) % n]
-        v0, v1 = vals[i], vals[(i + 1) % n]
-        if abs(v0) < 1e-13 * (1.0 + abs(v1)):
-            raise ContourError(f"contour passes through a root near {z0!r}")
-        dphi = cmath.phase(v1 / v0)
-        if abs(dphi) > 0.5 * math.pi and abs(z1 - z0) > 1e-13 * (1 + abs(z0)):
-            zm = 0.5 * (z0 + z1)
+    # one step for each final interval and two for each split
+    budget = 40 * len(pts) * _PHASE_DEPTH - len(pts)
+    while True:
+        n = len(pts)
+        dphis, split = [], []
+        for i in range(n):
+            z0, z1 = pts[i], pts[(i + 1) % n]
+            v0, v1 = vals[i], vals[(i + 1) % n]
+            if abs(v0) < 1e-13 * (1.0 + abs(v1)):
+                raise ContourError(
+                    f"contour passes through a root near {z0!r}")
+            dphis.append(cmath.phase(v1 / v0))
+            if abs(dphis[-1]) > 0.5 * math.pi and \
+                    abs(z1 - z0) > 1e-13 * (1 + abs(z0)):
+                split.append(i)
+        if not split:
+            break
+        budget -= 2 * len(split)
+        if budget <= 0:
+            raise ContourError(
+                "phase tracking exhausted its refinement budget")
+        mids = [0.5 * (pts[i] + pts[(i + 1) % n]) for i in split]
+        mid_vals = [g(fd) for fd in _fundamental_batch(pot, mids)]
+        for i, zm, vm in zip(reversed(split), reversed(mids),
+                             reversed(mid_vals)):
             pts.insert(i + 1, zm)
-            vals.insert(i + 1, g(fundamental_solutions(pot, zm)))
-            n += 1
-            continue
+            vals.insert(i + 1, vm)
+    total = 0.0
+    for dphi in dphis:
         total += dphi
-        i += 1
-    if guard <= 0:
-        raise ContourError("phase tracking exhausted its refinement budget")
     winding = total / TWO_PI
     if abs(winding - round(winding)) > 0.2:
         raise ContourError(f"non-integer winding {winding:.3f}")

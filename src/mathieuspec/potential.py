@@ -371,17 +371,21 @@ def snap_rational(alpha: float, max_den: int = 64,
 
 _FLOAT = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(
-    r"^\s*({f})\s*$|^\s*({f})\s*([+-])\s*({f})i\s*$".format(f=_FLOAT))
+    r"^\s*({f})\s*$|^\s*({f})\s*([+-])\s*({f})i\s*$|^\s*({f})i\s*$"
+    .format(f=_FLOAT))
 _RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*/\s*(\d+)\s*$|^\s*([+-]?\d+)\s*$")
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'RE' or 'RE+IMi' / 'RE-IMi' (e.g. '1.5-0.25i')."""
+    """Parse 'RE', 'RE+IMi' / 'RE-IMi' (e.g. '1.5-0.25i') or 'IMi' with an
+    optional sign (e.g. '-14.5i')."""
     m = _COMPLEX_RE.match(text)
     if not m:
         raise ValidationError(f"bad complex literal: {text!r}")
     if m.group(1) is not None:
         return complex(float(m.group(1)), 0.0)
+    if m.group(5) is not None:
+        return complex(0.0, float(m.group(5)))
     re_part = float(m.group(2))
     im_part = float(m.group(4))
     if m.group(3) == "-":

@@ -236,6 +236,11 @@ class TestCommands:
                                 "--b", "-2", "--nmax", "3"])
         assert cfg.a == -0.5 + 0.5j and cfg.b == -2.0 and cfg.n_max == 3
 
+    def test_pure_imaginary_literals(self):
+        cfg = config_from_argv(["classify", "--a", "14.5i", "--b", "-14.5i"])
+        assert cfg.a == 14.5j and cfg.b == -14.5j
+        assert JobConfig.from_dict(cfg.to_dict()) == cfg
+
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--a", "1", "--b", "1", "--nmax", "abc"],
         ["classify", "--a", "1", "--b", "1", "--window", "0,x"],

@@ -187,8 +187,21 @@ class TestMagnusOracle:
             fd = fundamental_solutions(pot, lam)
             lams = np.array([lam], dtype=complex)
             fine = disc._monodromy(pot, lams, 2 * fd.steps)
-            y = fine + (fine - disc._monodromy(pot, lams, fd.steps)) / 15.0
+            y = fine + (fine - disc._monodromy(pot, lams, fd.steps)) \
+                / disc._RICHARDSON
             assert abs(y[0, 0, 0] + y[0, 3, 0] + 2.0 - fd.f) <= fd.est_error
+
+    def test_sixth_order(self):
+        # the error of F without the Richardson step falls by about 2^6 per
+        # doubling of the steps
+        pot, lam = MathieuPotential(1, 2), 40 + 1j
+        f_ref = _reference_values(_dop853(pot, lam))["f"]
+        lams = np.array([lam], dtype=complex)
+        errs = []
+        for n in (32, 64, 128):
+            y = disc._monodromy(pot, lams, n)
+            errs.append(abs(y[0, 0, 0] + y[0, 3, 0] + 2.0 - f_ref))
+        assert errs[0] >= 40.0 * errs[1] >= 1600.0 * errs[2]
 
     def test_batch_equals_scalar_bitwise(self, monkeypatch):
         pot = MathieuPotential(1.5 - 0.2j, 0.7 + 1.1j)
@@ -234,16 +247,28 @@ class TestEdgeInputs:
         assert disc._N_START <= fd.steps <= disc._N_CAP
 
     def test_step_cap_is_a_typed_error(self, monkeypatch, tmp_path, capsys):
-        # (50, 50) near lambda = 10 needs more than the first 1,024 steps
+        # (50, 50) near lambda = 10 needs more than the first 256 steps
+        pot = MathieuPotential(50, 50)
+        monkeypatch.setattr(disc, "_cache", OrderedDict())
+        assert fundamental_solutions(pot, 10.0).steps > disc._N_START == 256
         monkeypatch.setattr(disc, "_cache", OrderedDict())
         monkeypatch.setattr(disc, "_N_CAP", disc._N_START)
         with pytest.raises(StepSizeUnderflowError):
-            fundamental_solutions(MathieuPotential(50, 50), 10.0)
+            fundamental_solutions(pot, 10.0)
         rc = main(["singularities", "--a=50", "--b=50", "--window=5,15",
                    "--out", str(tmp_path)])
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "StepSizeUnderflowError"
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 6 (ODE side): with |b| = 1000 the monodromy at "
+        "lambda = -6i loses about 1e-7 to rounding at every step count, "
+        "so no run certifies and classify exits 2"))
+    def test_extreme_coupling_certifies(self, tmp_path):
+        rc = main(["classify", "--a=0.001", "--b=1000", "--window=0,100",
+                   "--out", str(tmp_path)])
+        assert rc == 0
 
     def test_lost_wronskian_is_a_typed_error(self):
         # F ~ cosh(100): rounding swamps det Y = 1
@@ -342,6 +367,21 @@ class TestCriticalPoints:
         assert len(cps) >= 3
         for c in cps:
             assert abs(c.f_value) > 2.0 + 1e-12 or abs(c.t_star.imag) > 1e-7
+
+    def test_winding_refines_in_batches(self, monkeypatch):
+        # the initial samples and then each round of midpoints are one
+        # batch; the scalar path is not taken
+        calls = []
+        batch = disc._fundamental_batch
+
+        def recorded(pot, lams):
+            calls.append(len(lams))
+            return batch(pot, lams)
+
+        monkeypatch.setattr(disc, "_fundamental_batch", recorded)
+        monkeypatch.setattr(disc, "fundamental_solutions", None)
+        assert count_roots(MathieuPotential(1, 2), (0.5, 600.0)) == 7
+        assert calls[0] == 4 * disc._SIDE_POINTS and len(calls) > 1
 
     def test_invariant_fprime_small(self):
         cps = find_critical_points(MathieuPotential(0, 1), (30.0, 100.0),

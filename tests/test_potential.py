@@ -257,11 +257,21 @@ class TestLiterals:
         ("-3.5e-2", -0.035 + 0j),
         ("0+1i", 1j),
         ("1e2-3e-1i", 100 - 0.3j),
+        ("14.5i", 14.5j),
+        ("-14.5i", -14.5j),
+        ("+2e-3i", 0.002j),
     ])
     def test_parse(self, text, value):
         assert parse_complex(text) == value
 
-    @pytest.mark.parametrize("bad", ["i", "1+i", "abc", "1 + 2j", ""])
+    @pytest.mark.parametrize("text", ["14.5i", "-14.5i", "0i", "-0.25i"])
+    def test_pure_imaginary_round_trip(self, text):
+        z = parse_complex(text)
+        assert z.real == 0.0
+        assert parse_complex(format_complex(z)) == z
+
+    @pytest.mark.parametrize("bad", ["i", "1+i", "abc", "1 + 2j", "",
+                                     "-i", "14.5ii", "1+2i3i"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValidationError):
             parse_complex(bad)
