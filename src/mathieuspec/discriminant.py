@@ -293,9 +293,9 @@ def _integrate(pot: MathieuPotential, lams: Sequence[complex],
 
     Each lambda doubles its own step count from _N_START while the move of
     F or of an entry of Y from N/2 to N steps is above tolerance; the
-    lambdas that go on are redone together.  Raises StepSizeUnderflowError when _N_CAP steps are
-    not enough, or when the monodromy overflows or loses its Wronskian
-    identity to rounding.
+    lambdas that go on are redone together.  Raises StepSizeUnderflowError
+    when _N_CAP steps are not enough, or when the monodromy overflows or
+    loses its Wronskian identity to rounding.
     """
     lam = np.asarray(lams, dtype=complex)
     out: List[Optional[FundamentalData]] = [None] * lam.size
@@ -558,7 +558,7 @@ def _phase_winding(pot: MathieuPotential, g, corners) -> int:
         for j in range(_SIDE_POINTS):
             pts.append(z0 + (z1 - z0) * j / _SIDE_POINTS)
     vals = [g(fd) for fd in _fundamental_batch(pot, pts)]
-    # one step for each final interval and two for each split
+    # one unit of the budget for each final interval and one for each split
     budget = 40 * len(pts) * _PHASE_DEPTH - len(pts)
     while True:
         n = len(pts)
@@ -575,7 +575,7 @@ def _phase_winding(pot: MathieuPotential, g, corners) -> int:
                 split.append(i)
         if not split:
             break
-        budget -= 2 * len(split)
+        budget -= 2 * len(split)  # a split also adds an interval
         if budget <= 0:
             raise ContourError(
                 "phase tracking exhausted its refinement budget")
@@ -585,10 +585,7 @@ def _phase_winding(pot: MathieuPotential, g, corners) -> int:
                              reversed(mid_vals)):
             pts.insert(i + 1, zm)
             vals.insert(i + 1, vm)
-    total = 0.0
-    for dphi in dphis:
-        total += dphi
-    winding = total / TWO_PI
+    winding = sum(dphis) / TWO_PI
     if abs(winding - round(winding)) > 0.2:
         raise ContourError(f"non-integer winding {winding:.3f}")
     return int(round(winding))
