@@ -1,7 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mathieuspec.cli import (JobConfig, config_from_argv, main,
@@ -268,3 +273,97 @@ class TestCommands:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValidationError"
+
+
+#: A self-adjoint spectrum job, which takes the Hermitian eigensolve.
+SELF_ADJOINT_SPECTRUM = ["spectrum", "--a", "0.5+0.5i", "--b", "0.5-0.5i",
+                         "--nmax", "6"]
+#: A two-sided classify job whose candidate at t = pi is checked against
+#: the endpoint spectrum.
+ENDPOINT_CLASSIFY = ["classify",
+                     "--a", "0.6001418937643375-0.45700572095201325i",
+                     "--b", "-0.5345811105153597-0.5322100693467566i",
+                     "--window", "82.6025,95.8225"]
+
+#: Run in a fresh interpreter: the jobs' exit codes, the endpoint spectra
+#: and Hermitian eigensolves they made, and the scipy modules loaded after
+#: the import and after the jobs.
+_FRESH_RUN = """
+import contextlib, io, json, sys
+import numpy as np
+import mathieuspec.cli as cli
+from mathieuspec import floquet
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+counts = {"endpoint": 0, "eigh": 0}
+def counted(key, real):
+    def inner(*args, **kwargs):
+        counts[key] += 1
+        return real(*args, **kwargs)
+    return inner
+floquet.endpoint_spectrum = counted("endpoint", floquet.endpoint_spectrum)
+np.linalg.eigh = counted("eigh", np.linalg.eigh)
+after_import = scipy_modules()
+out, jobs = sys.argv[1], json.loads(sys.argv[2])
+rcs = []
+for i, argv in enumerate(jobs):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rcs.append(cli.main(argv + ["--out", f"{out}/{i}"]))
+print(json.dumps({"after_import": after_import, "after_jobs": scipy_modules(),
+                  "rcs": rcs, **counts}))
+"""
+
+
+def _fresh_interpreter(*args):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestNoScipy:
+    """The package runs on numpy alone; scipy is a test dependency."""
+
+    def test_import_loads_no_scipy(self):
+        loaded = _fresh_interpreter(
+            "-c", "import sys, mathieuspec.cli; print(sorted(m for m in "
+                  "sys.modules if m.partition('.')[0] == 'scipy'))")
+        assert loaded.strip() == "[]"
+
+    def test_jobs_load_no_scipy(self, tmp_path):
+        jobs = [["singularities", "--a", "1", "--b", "2",
+                 "--window", "5,15"],
+                SELF_ADJOINT_SPECTRUM, ENDPOINT_CLASSIFY]
+        got = json.loads(_fresh_interpreter(
+            "-c", _FRESH_RUN, str(tmp_path), json.dumps(jobs)))
+        assert got["rcs"] == [0, 0, 0]
+        # the jobs reached the Hermitian solve and an endpoint check
+        assert got["eigh"] > 0 and got["endpoint"] > 0
+        assert got["after_import"] == got["after_jobs"] == []
+
+
+class TestTypedEigensolveErrors:
+    """LAPACK's failure to converge is a ConvergenceError: exit code 2."""
+
+    def _raise(self, *args, **kwargs):
+        raise np.linalg.LinAlgError("injected failure")
+
+    @pytest.mark.parametrize("solve, argv, message", [
+        ("eigvals", ["spectrum", "--a", "1", "--b", "2", "--nmax", "3"],
+         "eigensolver did not converge"),
+        ("eigh", SELF_ADJOINT_SPECTRUM, "eigensolver did not converge"),
+        ("eig", ENDPOINT_CLASSIFY, "parity block did not converge"),
+    ])
+    def test_linalg_error_exit_code(self, tmp_path, capsys, monkeypatch,
+                                    solve, argv, message):
+        monkeypatch.setattr(np.linalg, solve, self._raise)
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConvergenceError"
+        assert message in err["message"]
+

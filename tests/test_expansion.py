@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 from scipy.integrate import quad
 
 from mathieuspec import (ExpansionPlan, FormMismatchError, MathieuPotential,
@@ -260,13 +259,13 @@ class TestReconstruction:
 def eig_calls(monkeypatch):
     """Counts LAPACK's dense eigensolves with vectors."""
     calls = []
-    real = sla.eig
+    real = np.linalg.eig
 
     def counted(*args, **kwargs):
         calls.append("eig")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(sla, "eig", counted)
+    monkeypatch.setattr(np.linalg, "eig", counted)
     return calls
 
 

@@ -762,18 +762,12 @@ STRONG = [(40, 40), (100, 100j), (10, -7j)]
 def eigensolve_sizes(monkeypatch):
     """Matrix sizes of the eigenvalue solves made while installed."""
     sizes = []
-    eigvals, eigh_tridiagonal = sla.eigvals, sla.eigh_tridiagonal
+    for name in ("eigvals", "eigh"):
+        def counted(a, *args, _real=getattr(np.linalg, name), **kwargs):
+            sizes.append(len(a))
+            return _real(a, *args, **kwargs)
 
-    def dense(a, *args, **kwargs):
-        sizes.append(len(a))
-        return eigvals(a, *args, **kwargs)
-
-    def tridiagonal(d, *args, **kwargs):
-        sizes.append(len(d))
-        return eigh_tridiagonal(d, *args, **kwargs)
-
-    monkeypatch.setattr(flq.sla, "eigvals", dense)
-    monkeypatch.setattr(flq.sla, "eigh_tridiagonal", tridiagonal)
+        monkeypatch.setattr(np.linalg, name, counted)
     return sizes
 
 
@@ -884,6 +878,52 @@ class TestTrackingWindow:
     def test_assign_needs_an_eigenvalue_per_label(self):
         with pytest.raises(ValidationError):
             flq._assign(np.zeros(3, dtype=complex), np.ones(2, dtype=complex))
+
+
+def _conflicting_cases(rng, count, lattice=False):
+    """(pred, lams) pairs, tens of labels against tens of eigenvalues, in
+    which some labels share their nearest eigenvalue.  On the integer
+    lattice many distances tie; off it the optimum is unique with
+    probability one."""
+    cases = []
+    while len(cases) < count:
+        n = int(rng.integers(10, 40))
+        m = n + int(rng.integers(0, 30))
+        if lattice:
+            lams = (rng.integers(-4, 5, m) + 1j * rng.integers(-4, 5, m))
+            pred = rng.integers(-4, 5, n) + 1j * rng.integers(-4, 5, n)
+        else:
+            lams = rng.normal(size=m) + 1j * rng.normal(size=m)
+            pred = (lams[rng.integers(0, m, n)]
+                    + 0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n)))
+        nearest = np.argmin(np.abs(pred[:, None] - lams[None, :]), axis=1)
+        if len(set(nearest.tolist())) < n:
+            cases.append((pred.astype(complex), lams.astype(complex)))
+    return cases
+
+
+class TestAssign:
+    """``_assign`` against scipy's ``linear_sum_assignment`` where the
+    nearest-eigenvalue choice is not one-to-one."""
+
+    def test_unique_optimum_same_indices(self):
+        from scipy.optimize import linear_sum_assignment
+        for pred, lams in _conflicting_cases(np.random.default_rng(1), 1000):
+            cost = np.abs(pred[:, None] - lams[None, :])
+            idx = flq._assign(pred, lams)[0]
+            assert np.array_equal(idx, linear_sum_assignment(cost)[1])
+
+    def test_tied_costs_same_total(self):
+        from scipy.optimize import linear_sum_assignment
+        for pred, lams in _conflicting_cases(np.random.default_rng(2), 1000,
+                                             lattice=True):
+            cost = np.abs(pred[:, None] - lams[None, :])
+            r = np.arange(len(pred))
+            idx = flq._assign(pred, lams)[0]
+            assert len(set(idx.tolist())) == len(pred)
+            want = cost[r, linear_sum_assignment(cost)[1]].sum()
+            assert cost[r, idx].sum() == pytest.approx(want, rel=1e-13,
+                                                       abs=1e-13)
 
 
 def _band(solver, t, n):
@@ -1435,13 +1475,12 @@ class TestOneSidedClosedForm:
         # exactly the pairs the dense reference refuses
         pot = pots[name]
         calls = []
-        for owner, fn in ((sla, "eig"), (sla, "eigvals"),
-                          (sla, "eigh_tridiagonal")):
-            def counted(*args, _real=getattr(owner, fn), _fn=fn, **kwargs):
+        for fn in ("eig", "eigvals", "eigh"):
+            def counted(*args, _real=getattr(np.linalg, fn), _fn=fn, **kwargs):
                 calls.append(_fn)
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(owner, fn, counted)
+            monkeypatch.setattr(np.linalg, fn, counted)
         plan, ts = _expand_nodes(pot, 11)
         solver = make_solver(pot, plan.n_max + 1)
         labels = list(range(-5, 6))
@@ -1489,9 +1528,10 @@ class TestOneSidedClosedForm:
 
 @pytest.fixture
 def solve_log(monkeypatch):
-    """Rows of every LAPACK eigensolve (``eig``, ``eigvals``) made outside
-    ``track_curves`` and ``stable_m``, each with the M of the endpoint
-    solve it belongs to (None outside one), and the count of dense SVDs."""
+    """Rows of every LAPACK eigensolve (``eig``, ``eigvals``, ``eigh``)
+    made outside ``track_curves`` and ``stable_m``, each with the M of the
+    endpoint solve it belongs to (None outside one), and the count of
+    dense SVDs."""
     log = {"solves": [], "svd": 0}
     state = {"tracking": 0, "M": None}
 
@@ -1519,13 +1559,13 @@ def solve_log(monkeypatch):
     monkeypatch.setattr(flq, "stable_m", tracking(flq.stable_m))
     monkeypatch.setattr(flq, "endpoint_spectrum", endpoint)
     monkeypatch.setattr(np.linalg, "svd", svd)
-    for name in ("eig", "eigvals"):
-        def counted(a, *args, _real=getattr(sla, name), **kwargs):
+    for name in ("eig", "eigvals", "eigh"):
+        def counted(a, *args, _real=getattr(np.linalg, name), **kwargs):
             if not state["tracking"]:
                 log["solves"].append((len(a), state["M"]))
             return _real(a, *args, **kwargs)
 
-        monkeypatch.setattr(sla, name, counted)
+        monkeypatch.setattr(np.linalg, name, counted)
     return log
 
 
