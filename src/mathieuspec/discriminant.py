@@ -32,9 +32,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,8 +105,6 @@ class FundamentalData:
     dtheta1_ll: complex = 0.0j
     phi1_ll: complex = 0.0j
     dphi1_ll: complex = 0.0j
-    # rows theta(x), phi(x) at _NORM_XS, or None
-    dense: Optional[np.ndarray] = None
     # Magnus steps of the certified run
     steps: int = 0
 
@@ -287,8 +284,8 @@ def _dense_values(pot: MathieuPotential, lam: complex, n: int) -> np.ndarray:
                      x01 + yk[1] + x00 * yk[1] + x01 * yk[3]])
 
 
-def _integrate(pot: MathieuPotential, lams: Sequence[complex],
-               dense: bool) -> List[FundamentalData]:
+def _integrate(pot: MathieuPotential,
+               lams: Sequence[complex]) -> List[FundamentalData]:
     """Certified monodromy data for each lambda.
 
     Each lambda doubles its own step count from _N_START while the move of
@@ -327,15 +324,15 @@ def _integrate(pot: MathieuPotential, lams: Sequence[complex],
                     f"than {_N_CAP} steps")
             for j in np.flatnonzero(done):
                 out[todo[j]] = _certified(
-                    pot, complex(lam[todo[j]]), fine[:, :, j],
-                    coarse[:, :, j], float(move[j]), n, dense)
+                    complex(lam[todo[j]]), fine[:, :, j], coarse[:, :, j],
+                    float(move[j]), n)
             todo, coarse, last, n = (todo[~done], fine[:, :, ~done],
                                      move[~done], 2 * n)
     return out
 
 
-def _certified(pot: MathieuPotential, lam: complex, fine, coarse,
-               move: float, n: int, dense: bool) -> FundamentalData:
+def _certified(lam: complex, fine, coarse, move: float,
+               n: int) -> FundamentalData:
     """FundamentalData of one lambda from its runs on n/2 and n steps."""
     y = fine + (fine - coarse) / _RICHARDSON
     y[0, [0, 3]] += 1.0
@@ -347,8 +344,6 @@ def _certified(pot: MathieuPotential, lam: complex, fine, coarse,
         raise StepSizeUnderflowError(
             f"the monodromy at lambda={lam!r} lost its Wronskian identity "
             f"to rounding (defect {fd.wronskian_defect:.3e})")
-    if dense:
-        fd.dense = _dense_values(pot, lam, n)
     return fd
 
 
@@ -359,30 +354,6 @@ def _batched(pot: MathieuPotential, lam: np.ndarray, n: int) -> np.ndarray:
                            for i in range(0, lam.size, size)], axis=2)
 
 
-#: Least-recently-used results of ``fundamental_solutions``, at most
-#: _CACHE_CAP of them: a hit refreshes its entry, a fill evicts the oldest.
-_cache: "OrderedDict[tuple, FundamentalData]" = OrderedDict()
-_CACHE_CAP = 512
-
-
-def _cached(pot: MathieuPotential, lam: complex, dense: bool):
-    key = (pot.a, pot.b, lam, dense)
-    # a dense result also serves a slim request
-    keys = [key] if dense else [key, (pot.a, pot.b, lam, True)]
-    for k in keys:
-        hit = _cache.get(k)
-        if hit is not None:
-            _cache.move_to_end(k)
-            return hit
-    return None
-
-
-def _store(pot: MathieuPotential, fd: FundamentalData, dense: bool):
-    _cache[(pot.a, pot.b, fd.lam, dense)] = fd
-    if len(_cache) > _CACHE_CAP:
-        _cache.popitem(last=False)
-
-
 def _checked(lam) -> complex:
     lam = complex(lam)
     if abs(lam) > 1e8:
@@ -390,37 +361,31 @@ def _checked(lam) -> complex:
     return lam
 
 
-def fundamental_solutions(pot: MathieuPotential, lam: complex,
-                          dense: bool = False) -> FundamentalData:
+def fundamental_solutions(pot: MathieuPotential,
+                          lam: complex) -> FundamentalData:
     """The fundamental pair (and lambda-variations) across [0, 1].
 
-    Valid for |lambda| <= 1e8.  ``dense=True`` also keeps theta(x), phi(x)
-    at the quadrature nodes of ``dn_via_wronskian``.
+    Valid for |lambda| <= 1e8.  Each call integrates its lambda: nothing is
+    kept between calls.
     """
-    lam = _checked(lam)
-    fd = _cached(pot, lam, dense)
-    if fd is None:
-        fd = _integrate(pot, [lam], dense)[0]
-        _store(pot, fd, dense)
-    return fd
+    return _integrate(pot, [_checked(lam)])[0]
 
 
-def _fundamental_batch(pot: MathieuPotential,
-                       lams: Sequence[complex]) -> List[FundamentalData]:
-    """``fundamental_solutions`` of many lambdas, the misses in one batch.
+def _fundamental_batch(pot: MathieuPotential, lams: Sequence[complex],
+                       known: Dict[complex, FundamentalData]
+                       ) -> List[FundamentalData]:
+    """``fundamental_solutions`` of many lambdas, those not in ``known`` in
+    one batch, which are then stored there.
 
-    Each result equals the scalar call's bit for bit, so the cache holds
-    the same values however the lambdas were grouped.
+    Each result equals the scalar call's bit for bit, so ``known`` holds the
+    same values however the lambdas were grouped.  One search carries one
+    ``known`` and drops it when it returns.
     """
     lams = [_checked(z) for z in lams]
-    out = [_cached(pot, z, False) for z in lams]
-    miss = [i for i, fd in enumerate(out) if fd is None]
+    miss = [z for z in lams if z not in known]
     if miss:
-        for i, fd in zip(miss, _integrate(pot, [lams[i] for i in miss],
-                                          False)):
-            out[i] = fd
-            _store(pot, fd, False)
-    return out
+        known.update(zip(miss, _integrate(pot, miss)))
+    return [known[z] for z in lams]
 
 
 # --------------------------------------------------------------------------
@@ -438,14 +403,15 @@ class EigenRoot:
 
 
 def _newton(pot, target: complex, seed: complex, tol: float = 1e-10,
-            max_iter: int = 60) -> Optional[Tuple[complex, complex]]:
+            max_iter: int = 60) -> Optional[FundamentalData]:
+    """The data at the Newton root of F - target from ``seed``, or None."""
     lam = complex(seed)
     bound = 10.0 * (1.0 + abs(seed))
     for it in range(max_iter):
         fd = fundamental_solutions(pot, lam)
         g = fd.f - target
         if abs(g) <= tol:
-            return lam, fd.f_prime
+            return fd
         fp = fd.f_prime
         if fp == 0:
             return None
@@ -466,8 +432,8 @@ def eigenvalues_at(pot: MathieuPotential, t: float, window: Tuple[float, float],
     """Roots of F(lambda) = 2 cos t inside the window, Newton-polished.
 
     Seeds default to the unperturbed guesses (2 pi k +- t)^2; extra seeds
-    (e.g. matrix-engine eigenvalues) may be supplied.  Diverging seeds are
-    skipped and reported on the .skipped attribute of the returned list.
+    (e.g. matrix-engine eigenvalues) may be supplied; diverging seeds are
+    skipped.
     """
     lo, hi = window
     target = 2.0 * math.cos(t)
@@ -480,33 +446,20 @@ def eigenvalues_at(pot: MathieuPotential, t: float, window: Tuple[float, float],
                 if lo - 1.0 <= s <= hi + 1.0:
                     seeds.append(complex(s))
     roots: List[EigenRoot] = []
-    skipped = []
     for seed in seeds:
-        res = _newton(pot, target, complex(seed))
-        if res is None:
-            skipped.append(complex(seed))
+        fd = _newton(pot, target, complex(seed))
+        if fd is None:
             continue
-        lam, fp = res
+        lam, fp = fd.lam, fd.f_prime
         if not (lo - 1e-9 <= lam.real <= hi + 1e-9):
             continue
         if any(abs(lam - r.lam) <= 1e-8 * (1.0 + abs(lam)) for r in roots):
             continue
-        fd = fundamental_solutions(pot, lam)
         roots.append(EigenRoot(
             lam=lam, f_residual=abs(fd.f - target), f_prime=fp,
             is_critical=abs(fp) < 1e-7 * (1.0 + abs(fd.f_second))))
     roots.sort(key=lambda r: (r.lam.real, r.lam.imag))
-    roots = _RootList(roots)
-    roots.skipped = skipped
     return roots
-
-
-class _RootList(list):
-    """List of roots carrying the skipped-seed report."""
-
-    def __init__(self, items):
-        super().__init__(items)
-        self.skipped: list = []
 
 
 @dataclass
@@ -525,6 +478,8 @@ class CriticalPoint:
     is_two_periodic: bool
     family: str
     n_guess: int
+    # error estimate of F at lambda_star; not serialized
+    est_error: float
 
     def to_dict(self) -> dict:
         return {
@@ -543,21 +498,23 @@ _SIDE_POINTS = 24
 _PHASE_DEPTH = 12
 
 
-def _phase_winding(pot: MathieuPotential, g, corners) -> int:
+def _phase_winding(pot: MathieuPotential, g, corners,
+                   known: Dict[complex, FundamentalData]) -> int:
     """Winding number of g(FundamentalData) around the polygon of corners.
 
     Tracks the argument of g with adaptive bisection until consecutive
     phase increments stay below pi/2; raises ContourError when a sample
     lands on (numerically) zero.  Whether an interval is split depends on
     its endpoints alone, so each round of splits is one batch: the initial
-    samples, then the midpoints of every interval that still jumps.
+    samples, then the midpoints of every interval that still jumps.  The
+    samples are looked up in, and added to, ``known``.
     """
     pts: List[complex] = []
     for i in range(len(corners)):
         z0, z1 = corners[i], corners[(i + 1) % len(corners)]
         for j in range(_SIDE_POINTS):
             pts.append(z0 + (z1 - z0) * j / _SIDE_POINTS)
-    vals = [g(fd) for fd in _fundamental_batch(pot, pts)]
+    vals = [g(fd) for fd in _fundamental_batch(pot, pts, known)]
     # one unit of the budget for each final interval and one for each split
     budget = 40 * len(pts) * _PHASE_DEPTH - len(pts)
     while True:
@@ -580,7 +537,7 @@ def _phase_winding(pot: MathieuPotential, g, corners) -> int:
             raise ContourError(
                 "phase tracking exhausted its refinement budget")
         mids = [0.5 * (pts[i] + pts[(i + 1) % n]) for i in split]
-        mid_vals = [g(fd) for fd in _fundamental_batch(pot, mids)]
+        mid_vals = [g(fd) for fd in _fundamental_batch(pot, mids, known)]
         for i, zm, vm in zip(reversed(split), reversed(mids),
                              reversed(mid_vals)):
             pts.insert(i + 1, zm)
@@ -600,12 +557,13 @@ def _f_prime(fd: FundamentalData) -> complex:
     return fd.f_prime
 
 
-def _count_with_retry(pot, lo, hi, im_lo, im_hi, retries: int = 4) -> int:
+def _count_with_retry(pot, lo, hi, im_lo, im_hi, known,
+                      retries: int = 4) -> int:
     pad = 0.0
     for attempt in range(retries):
         try:
             return _phase_winding(pot, _f_prime, _rect_corners(
-                lo - pad, hi + pad, im_lo - pad, im_hi + pad))
+                lo - pad, hi + pad, im_lo - pad, im_hi + pad), known)
         except ContourError:
             pad += 0.037 * (hi - lo + 1.0) * (attempt + 1)
     raise ContourError(
@@ -623,20 +581,23 @@ def find_critical_points(pot: MathieuPotential, window: Tuple[float, float],
     Counts roots by the argument principle on subdivided rectangles (down
     to _MIN_BOX a side), then Newton-polishes each isolated root using
     F''.  The principal arccos branch fixes t*; conjugate pairs
-    t* <-> -t* are collapsed by keeping Re t* in [0, pi].
+    t* <-> -t* are collapsed by keeping Re t* in [0, pi].  One search
+    integrates each lambda once, since a box shares edge samples with its
+    parent; it keeps nothing once it returns.
     """
     lo, hi = float(window[0]), float(window[1])
     boxes = [(lo, hi, -im_halfwidth, im_halfwidth)]
-    found: List[complex] = []
+    known: Dict[complex, FundamentalData] = {}
+    found: List[FundamentalData] = []
 
-    def record(root):
-        if root is not None and not any(
-                abs(root - r) <= 1e-7 * (1.0 + abs(root)) for r in found):
+    def record(root: FundamentalData):
+        if not any(abs(root.lam - r.lam) <= 1e-7 * (1.0 + abs(root.lam))
+                   for r in found):
             found.append(root)
 
     while boxes:
         a0, a1, b0, b1 = boxes.pop()
-        cnt = _count_with_retry(pot, a0, a1, b0, b1)
+        cnt = _count_with_retry(pot, a0, a1, b0, b1, known)
         if cnt == 0:
             continue
         small = a1 - a0 <= _MIN_BOX and b1 - b0 <= _MIN_BOX
@@ -650,9 +611,9 @@ def find_critical_points(pot: MathieuPotential, window: Tuple[float, float],
             # its box counts as localized
             near_box = (a0 - (a1 - a0), a1 + (a1 - a0),
                         b0 - (b1 - b0) - 0.5, b1 + (b1 - b0) + 0.5)
-            near = [root for root in (_polish_critical(pot, seed, near_box)
-                                      for seed in seeds)
-                    if root is not None]
+            near = [root for root in (
+                _polish_critical(pot, seed, near_box, known)
+                for seed in seeds) if root is not None]
             if len(near) >= cnt or small:
                 for root in near:
                     record(root)
@@ -665,11 +626,11 @@ def find_critical_points(pot: MathieuPotential, window: Tuple[float, float],
             boxes += [(a0, a1, b0, mid), (a0, a1, mid, b1)]
 
     out = []
-    for lam in found:
+    for fd in found:
+        lam = fd.lam
         if not (lo - 1e-9 <= lam.real <= hi + 1e-9
                 and abs(lam.imag) <= im_halfwidth + 1e-9):
             continue
-        fd = fundamental_solutions(pot, lam)
         tstar = cmath.acos(fd.f / 2.0)
         # conjugate symmetry: report the representative with Re t* in [0, pi]
         if tstar.real < 0:
@@ -689,20 +650,22 @@ def find_critical_points(pot: MathieuPotential, window: Tuple[float, float],
         out.append(CriticalPoint(
             lambda_star=lam, t_star=tstar, f_value=fd.f,
             f_prime_residual=abs(fd.f_prime), is_two_periodic=two_p,
-            family=fam, n_guess=n_guess))
+            family=fam, n_guess=n_guess, est_error=fd.est_error))
     out.sort(key=lambda c: (c.lambda_star.real, c.lambda_star.imag))
     return out
 
 
 def _polish_critical(pot, seed: complex,
                      box: Tuple[float, float, float, float],
-                     max_iter: int = 50) -> Optional[complex]:
-    """Newton on F' from ``seed``; None once an iterate leaves ``box``
-    (re_lo, re_hi, im_lo, im_hi) or the iteration does not converge."""
+                     known: Dict[complex, FundamentalData],
+                     max_iter: int = 50) -> Optional[FundamentalData]:
+    """The data at the root of F' that Newton reaches from ``seed``; None
+    once an iterate leaves ``box`` (re_lo, re_hi, im_lo, im_hi) or the
+    iteration does not converge.  Iterates go through ``known``."""
     re_lo, re_hi, im_lo, im_hi = box
     lam = complex(seed)
     for _ in range(max_iter):
-        fd = fundamental_solutions(pot, lam)
+        fd = _fundamental_batch(pot, [lam], known)[0]
         fp, fpp = fd.f_prime, fd.f_second
         if fpp == 0:
             return None
@@ -711,9 +674,9 @@ def _polish_critical(pot, seed: complex,
         if not (re_lo <= lam.real <= re_hi and im_lo <= lam.imag <= im_hi):
             return None
         if abs(step) <= 1e-13 * (1.0 + abs(lam)):
-            fd = fundamental_solutions(pot, lam)
+            fd = _fundamental_batch(pot, [lam], known)[0]
             if abs(fd.f_prime) <= 1e-9 * (1.0 + abs(fd.f_second)):
-                return lam
+                return fd
             return None
     return None
 
@@ -723,9 +686,9 @@ def count_roots(pot: MathieuPotential, window: Tuple[float, float],
     """Argument-principle root count of F - 2 cos t (or of F' when t is None)."""
     corners = _rect_corners(window[0], window[1], -im_halfwidth, im_halfwidth)
     if t is None:
-        return _phase_winding(pot, _f_prime, corners)
+        return _phase_winding(pot, _f_prime, corners, {})
     target = 2.0 * math.cos(t)
-    return _phase_winding(pot, lambda fd: fd.f - target, corners)
+    return _phase_winding(pot, lambda fd: fd.f - target, corners, {})
 
 
 # --------------------------------------------------------------------------
@@ -746,9 +709,9 @@ def dn_via_wronskian(pot: MathieuPotential, n: int, t: float,
     Phi_t(x) = phi(1) theta(x) + (e^{it} - theta(1)) phi(x); when phi(1)
     nearly vanishes the variant with theta'(1) in the denominator is used
     instead.  Norms are composite-Gauss quadratures over theta(x), phi(x)
-    at the nodes, which ``fundamental_solutions(dense=True)`` keeps.  Only
-    the magnitude is returned; the sign convention of the closed formula is
-    not consumed anywhere.
+    at the nodes, which ``_dense_values`` takes from the propagators of the
+    certified run.  Only the magnitude is returned; the sign convention of
+    the closed formula is not consumed anywhere.
 
     ``lambda_n`` may be approximate (e.g. interpolated along a curve); it
     is polished onto F(lambda) = 2 cos t first, staying within the band.
@@ -756,15 +719,16 @@ def dn_via_wronskian(pot: MathieuPotential, n: int, t: float,
     target = 2.0 * math.cos(t)
     lam = complex(lambda_n)
     for _ in range(8):
-        fd0 = fundamental_solutions(pot, lam)
-        g = fd0.f - target
-        if abs(g) <= 1e-12 or abs(fd0.f_prime) < 1e-13 * (1 + abs(fd0.f_second)):
+        fd = fundamental_solutions(pot, lam)
+        g = fd.f - target
+        if abs(g) <= 1e-12 or abs(fd.f_prime) < 1e-13 * (1 + abs(fd.f_second)):
             break
-        step = g / fd0.f_prime
+        step = g / fd.f_prime
         if abs(step) > 0.5 * (1.0 + abs(lambda_n)):
             break
         lam = lam - step
-    fd = fundamental_solutions(pot, lam, dense=True)
+    else:  # the last step moved lambda
+        fd = fundamental_solutions(pot, lam)
     fp = fd.f_prime
     # |F'| at the exact root, quadratically corrected for the residual
     # offset: near a double root the raw |F'(lam)| only measures how far
@@ -779,7 +743,7 @@ def dn_via_wronskian(pot: MathieuPotential, n: int, t: float,
         raise SimplenessError(
             f"|F'|^2 at the root near {lambda_n!r} is ~{abs(fp_root_sq):.3e}, "
             f"below the resolution floor {noise_sq:.3e}")
-    theta_x, phi_x = fd.dense
+    theta_x, phi_x = _dense_values(pot, fd.lam, fd.steps)
     eit = cmath.exp(1j * t)
     emt = cmath.exp(-1j * t)
     if abs(fd.phi1) >= _PHI_SWITCH * max(1.0, abs(fd.dtheta1)):

@@ -21,7 +21,7 @@ import numpy as np
 from . import floquet as flq
 from ._quadrature import GK15, composite
 from .discriminant import (CriticalPoint, dn_via_wronskian,
-                           find_critical_points, fundamental_solutions)
+                           find_critical_points)
 from .errors import (DegenerateProductError, MultipleEigenvalueError,
                      QuadratureError, SimplenessError)
 from .potential import (DiophantineVerdict, MathieuPotential, alpha_of,
@@ -331,7 +331,7 @@ def detect_singularities(pot: MathieuPotential, window: Tuple[float, float],
         # is the F-error amplified by 1/|sin t*| (or its square root when
         # t* is next to an endpoint).  Narrow spectral gaps poke past
         # |F| = 2 by tiny amounts, so a flat threshold cannot work.
-        est = fundamental_solutions(pot, cp.lambda_star).est_error
+        est = cp.est_error
         sin_mag = abs(np.sin(cp.t_star))
         noise = 5.0 * est / max(sin_mag, math.sqrt(est))
         if abs(cp.t_star.imag) > max(1e-8, noise):

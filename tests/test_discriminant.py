@@ -3,7 +3,6 @@ import cmath
 import json
 import math
 import types
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -71,52 +70,6 @@ class TestFundamentalSolutions:
         from mathieuspec import ValidationError
         with pytest.raises(ValidationError):
             fundamental_solutions(FREE, 1e9)
-
-
-class TestCache:
-    @pytest.fixture
-    def integrations(self, monkeypatch):
-        """An empty cache and a stand-in integrator that records each lam."""
-        calls = []
-
-        def fake(pot, lams, dense):
-            calls.extend(lams)
-            return [disc.FundamentalData(lam, 1, 0, 0, 1, 0.0) for lam in lams]
-
-        monkeypatch.setattr(disc, "_cache", OrderedDict())
-        monkeypatch.setattr(disc, "_integrate", fake)
-        return calls
-
-    def test_latest_entries_stay(self, integrations):
-        pot = MathieuPotential(0.3, 0.7)
-        lams = [complex(k) for k in range(600)]
-        for lam in lams:
-            fundamental_solutions(pot, lam)
-        assert len(integrations) == 600
-        assert len(disc._cache) == disc._CACHE_CAP == 512
-        for lam in lams[-512:]:
-            fundamental_solutions(pot, lam)
-        assert len(integrations) == 600
-        fundamental_solutions(pot, lams[0])
-        assert integrations[-1] == lams[0]
-
-    def test_hit_refreshes_entry(self, integrations):
-        pot = MathieuPotential(0.3, 0.7)
-        for k in range(512):
-            fundamental_solutions(pot, complex(k))
-        fundamental_solutions(pot, 0j)        # hit: now the newest entry
-        fundamental_solutions(pot, 512j)      # evicts the oldest, 1
-        assert len(integrations) == 513
-        fundamental_solutions(pot, 0j)
-        assert len(integrations) == 513
-        fundamental_solutions(pot, 1 + 0j)
-        assert len(integrations) == 514
-
-    def test_dense_entry_serves_slim_request(self, integrations):
-        pot = MathieuPotential(0.3, 0.7)
-        dense = fundamental_solutions(pot, 5.0, dense=True)
-        assert fundamental_solutions(pot, 5.0) is dense
-        assert len(integrations) == 1
 
 
 def _dop853(pot, lam):
@@ -203,16 +156,13 @@ class TestMagnusOracle:
             errs.append(abs(y[0, 0, 0] + y[0, 3, 0] + 2.0 - f_ref))
         assert errs[0] >= 40.0 * errs[1] >= 1600.0 * errs[2]
 
-    def test_batch_equals_scalar_bitwise(self, monkeypatch):
+    def test_batch_equals_scalar_bitwise(self):
         pot = MathieuPotential(1.5 - 0.2j, 0.7 + 1.1j)
         lams = [complex(x, y) for x in np.linspace(2.0, 300.0, 7)
                 for y in (-6.0, 0.0, 2.5)]
-        monkeypatch.setattr(disc, "_cache", OrderedDict())
-        batch = disc._fundamental_batch(pot, lams)
-        monkeypatch.setattr(disc, "_cache", OrderedDict())
-        reverse = disc._fundamental_batch(pot, lams[::-1])[::-1]
+        batch = disc._fundamental_batch(pot, lams, {})
+        reverse = disc._fundamental_batch(pot, lams[::-1], {})[::-1]
         for lam, b, r in zip(lams, batch, reverse):
-            monkeypatch.setattr(disc, "_cache", OrderedDict())
             assert fundamental_solutions(pot, lam) == b == r
 
     @pytest.mark.parametrize("pot,lam", [
@@ -222,9 +172,10 @@ class TestMagnusOracle:
         (MathieuPotential(100, 0.1), 1e4),
     ])
     def test_dense_matches_reference(self, pot, lam):
-        fd = fundamental_solutions(pot, lam, dense=True)
+        fd = fundamental_solutions(pot, lam)
+        dense = disc._dense_values(pot, fd.lam, fd.steps)
         yy = _dop853(pot, lam).sol(disc._NORM_XS)
-        for got, want in ((fd.dense[0], yy[0]), (fd.dense[1], yy[2])):
+        for got, want in ((dense[0], yy[0]), (dense[1], yy[2])):
             assert np.max(np.abs(got - want)) <= 1e-9 * (
                 1.0 + np.max(np.abs(want)))
 
@@ -249,9 +200,7 @@ class TestEdgeInputs:
     def test_step_cap_is_a_typed_error(self, monkeypatch, tmp_path, capsys):
         # (50, 50) near lambda = 10 needs more than the first 256 steps
         pot = MathieuPotential(50, 50)
-        monkeypatch.setattr(disc, "_cache", OrderedDict())
         assert fundamental_solutions(pot, 10.0).steps > disc._N_START == 256
-        monkeypatch.setattr(disc, "_cache", OrderedDict())
         monkeypatch.setattr(disc, "_N_CAP", disc._N_START)
         with pytest.raises(StepSizeUnderflowError):
             fundamental_solutions(pot, 10.0)
@@ -325,6 +274,11 @@ class TestEigenvaluesAt:
         assert roots[0].lam == pytest.approx((TWO_PI) ** 2, abs=1e-7)
         assert roots[0].is_critical
 
+    def test_plain_sorted_list(self):
+        roots = eigenvalues_at(MathieuPotential(1, 2), 0.7, (0.0, 120.0))
+        assert type(roots) is list and len(roots) >= 3
+        assert roots == sorted(roots, key=lambda r: (r.lam.real, r.lam.imag))
+
     def test_count_matches_matrix(self):
         pot = MathieuPotential(1, 2)
         t = 0.9
@@ -374,9 +328,9 @@ class TestCriticalPoints:
         calls = []
         batch = disc._fundamental_batch
 
-        def recorded(pot, lams):
+        def recorded(pot, lams, known):
             calls.append(len(lams))
-            return batch(pot, lams)
+            return batch(pot, lams, known)
 
         monkeypatch.setattr(disc, "_fundamental_batch", recorded)
         monkeypatch.setattr(disc, "fundamental_solutions", None)
@@ -389,6 +343,87 @@ class TestCriticalPoints:
         for c in cps:
             fd = fundamental_solutions(MathieuPotential(0, 1), c.lambda_star)
             assert abs(fd.f_prime) <= 1e-9 * (1.0 + abs(fd.f_second))
+
+
+@pytest.fixture
+def integrated(monkeypatch):
+    """Every lambda that ``_integrate`` certifies, in call order."""
+    lams = []
+    integrate = disc._integrate
+
+    def recorded(pot, batch):
+        lams.extend(batch)
+        return integrate(pot, batch)
+
+    monkeypatch.setattr(disc, "_integrate", recorded)
+    return lams
+
+
+class TestNothingKept:
+    def test_repeated_search_integrates_again(self, integrated):
+        pot = MathieuPotential(1, 2)
+        find_critical_points(pot, (0.5, 60.0))
+        first = list(integrated)
+        find_critical_points(pot, (0.5, 60.0))
+        assert first and integrated == first + first
+
+    def test_no_module_level_store(self):
+        def sizes():
+            return {name: len(v) for name, v in vars(disc).items()
+                    if not name.startswith("__")
+                    and isinstance(v, (dict, list, set))}
+
+        before = sizes()
+        pot = MathieuPotential(0.3, 0.7)
+        fundamental_solutions(pot, 5.0)
+        find_critical_points(pot, (0.5, 30.0))
+        eigenvalues_at(pot, 0.7, (0.0, 30.0))
+        dn_via_wronskian(pot, 1, 0.7, (TWO_PI + 0.7) ** 2)
+        assert sizes() == before
+        # the one memo holds per-N step coefficients, not per-lambda results
+        assert [name for name, v in vars(disc).items()
+                if hasattr(v, "cache_info")] == ["_step_coeffs"]
+
+    def test_search_integrates_each_lambda_once(self, integrated):
+        # the default window of ``singularities --a 1 --b 2 --nmax 4``: its
+        # box splits share edge samples with their parents
+        find_critical_points(MathieuPotential(1, 2),
+                             (0.5, (TWO_PI * 4.75) ** 2))
+        assert len(integrated) == len(set(integrated)) > 0
+
+    def test_critical_point_carries_its_data(self):
+        pot = MathieuPotential(0, 1)
+        cps = find_critical_points(pot, (30.0, 100.0), im_halfwidth=4.0)
+        assert cps
+        for c in cps:
+            fd = fundamental_solutions(pot, c.lambda_star)
+            assert (c.f_value, c.est_error) == (fd.f, fd.est_error)
+            assert "est_error" not in c.to_dict()
+
+    def test_detect_singularities_solves_nothing_more(self, integrated,
+                                                      monkeypatch):
+        from mathieuspec import spectrality
+        search = spectrality.find_critical_points
+        after_search = []
+
+        def recorded(*args, **kwargs):
+            out = search(*args, **kwargs)
+            after_search.append((len(integrated), len(out)))
+            return out
+
+        monkeypatch.setattr(spectrality, "find_critical_points", recorded)
+        singular, ess = spectrality.detect_singularities(
+            MathieuPotential(0, 1), (30.0, 100.0), run_integrals=False)
+        [(count, n_points)] = after_search
+        assert n_points and ess
+        assert len(integrated) == count
+
+    def test_projection_reuses_its_polish(self, integrated):
+        # lambda_n is already a root: one integration serves the polish,
+        # the certificate and the node values
+        d = dn_via_wronskian(FREE, 1, 0.8, (TWO_PI + 0.8) ** 2)
+        assert d == pytest.approx(1.0, abs=1e-10)
+        assert len(integrated) == 1
 
 
 class TestPairingIdentity:
