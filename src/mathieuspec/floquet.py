@@ -1,10 +1,10 @@
 """Truncated Fourier representation of the quasimomentum family H_t(a, b).
 
 In the basis e^{i(2 pi k + t)x}, k = -M..M, the operator is tridiagonal:
-row k reads (2 pi k + t)^2 c_k + a c_{k+1} + b c_{k-1} = lambda c_k.  The
-adjoint family is the same construction with (a, b) -> (conj b, conj a),
-which is exactly the conjugate transpose of the matrix; left eigenvectors
-of the primal matrix therefore are the adjoint eigenfunctions.
+row k reads (2 pi k + t)^2 c_k + a c_{k+1} + b c_{k-1} = lambda c_k.  Its
+conjugate transpose is the adjoint family's, (a, b) -> (conj b, conj a),
+so left eigenvectors are the adjoint eigenfunctions; every two-sided
+eigensolve reads them off the right ones in one gauge (``_gauge``).
 
 Eigenvalue curves are numbered so that lambda_n(t) ~ (2 pi n + t)^2 at the
 mid-zone anchor t = pi/2 and continued by nearest-distance assignment,
@@ -140,6 +140,47 @@ def assemble(pot: MathieuPotential, t: float, M: int) -> TruncatedOperator:
                              super=complex(pot.a), sub=complex(pot.b))
 
 
+def _gauge(a: complex, b: complex) -> Tuple[complex, complex]:
+    """(s, g): c_k -> s^-k c_k, s = a/g, takes the couplings a above and b
+    below the diagonal to g = sqrt(a) sqrt(b), g^2 = ab, which unlike ab
+    over- or underflows only where a or b does; g > 0 when ab > 0.  The
+    gauged matrix is complex symmetric, so its left eigenvectors are its
+    right ones (Craven, J. Austral. Math. Soc. 10 (1969))."""
+    g = cmath.sqrt(a) * cmath.sqrt(b)
+    if (a * b).imag == 0 < (a * b).real:
+        g = complex(abs(g))
+    return a / g, g
+
+
+def _ungauge(s: complex, ks: np.ndarray, v: np.ndarray):
+    """(x, y): the unit right eigenvector columns x = s^-k v of H_t and
+    their adjoint partners y = conj(s^k v), from eigenvector columns ``v``
+    of the gauged matrix on the Fourier indices ``ks``.  The gauge factors
+    are taken relative to their largest and each column to its largest
+    entry, so an extreme |a/b| underflows far entries and overflows none."""
+    with np.errstate(all="ignore"):
+        e = -np.log(s) * ks[:, None]
+        x = v * np.exp(e - e.real.max())
+        y = np.conj(v * np.exp(e.real.min() - e))
+        for w in (x, y):
+            w /= np.abs(w).max(axis=0)
+            w /= np.linalg.norm(w, axis=0)
+    return x, y
+
+
+def _residuals(diag, a: complex, b: complex, lam, x, y, padded=False):
+    """The residual norms of right columns ``x`` (for ``lam``) and adjoint
+    columns ``y`` of the matrix with diagonal columns ``diag`` and the
+    couplings a above and b below it; ``padded`` adds the rows +-(K + 1)
+    of the M-truncation that a window k = -K..K narrower than M drops."""
+    r = _product(diag, a, b, x) - lam * x
+    left = _product(diag, np.conj(b), np.conj(a), y) - np.conj(lam) * y
+    if padded:
+        r = np.vstack([r, b * x[-1], a * x[0]])
+        left = np.vstack([left, a * y[-1], b * y[0]])
+    return np.linalg.norm(r, axis=0), np.linalg.norm(left, axis=0)
+
+
 def _linked(la, lb, ma, mb, rtol: float):
     """The cluster link |l_a - l_b| < rtol*(1 + min(|l_a|, |l_b|)).
 
@@ -224,22 +265,19 @@ def endpoint_spectrum(pot: MathieuPotential, t: float,
     """The eigenpairs of H_t at t = 0 or +-pi (-pi read as pi) on the
     window k = -M..M, from its two parity blocks.
 
-    The gauge c_k -> s^-k c_k, s = sqrt(a/b), equalizes both couplings to
-    g = a/s, after which the matrix commutes with the reflection k -> -k
-    (t = 0) or k -> -1-k (t = pi).  On the basis (e_k +- e_mirror)/sqrt 2,
-    k >= 0, it splits into two tridiagonal blocks with coupling g, each
-    solved once by dense QR: at t = 0 the even block also holds e_0,
-    coupled to k = 1 by sqrt(2) g; at pi the first diagonal entry gets
-    +-g, and the edge row k = M, which has no mirror, is left out.  The
-    two members of a two-periodic pair live in opposite blocks and stay
-    perfectly conditioned even when their splitting is far below double
-    precision.  Both blocks are complex symmetric, so a block's left
-    vectors are the conjugates of its right ones, and the adjoint vectors
-    come back through the conjugate gauge conj(s)^k.  A coupling ratio so
-    extreme that the gauge overflows leaves non-finite vectors and
-    residuals.  At pi the left-out edge row can leave a pair short of the
-    certificate on the M-truncation; ``BandSolver.bands`` polishes the
-    simple pairs it labels there.
+    In the gauge of ``_gauge`` both couplings are g = sqrt(ab), and the
+    matrix commutes with the reflection k -> -k (t = 0) or k -> -1-k
+    (t = pi).  On the basis (e_k +- e_mirror)/sqrt 2, k >= 0, it splits
+    into two tridiagonal blocks with coupling g, each solved once by dense
+    QR: at t = 0 the even block also holds e_0, coupled to k = 1 by
+    sqrt(2) g; at pi the first diagonal entry gets +-g, and the edge row
+    k = M, which has no mirror, is left out.  The two members of a
+    two-periodic pair live in opposite blocks and stay perfectly
+    conditioned even when their splitting is far below double precision.
+    Both blocks are complex symmetric, so ``_ungauge`` reads the right and
+    the adjoint vectors off each block vector.  At pi the left-out edge
+    row can leave a pair short of the certificate on the M-truncation;
+    ``BandSolver.bands`` polishes the simple pairs it labels there.
 
     A one-sided truncation (ab = 0) is bidiagonal: its eigenvalues are
     the diagonal, one block, with the closed-form pairs of ``_one_sided``
@@ -254,8 +292,7 @@ def endpoint_spectrum(pot: MathieuPotential, t: float,
         return EndpointSpectrum(t, lam[0], np.zeros(op.size, dtype=int),
                                 x[0], y[0], res[0], lres[0], op.is_hermitian)
     at_pi = t != 0.0
-    s = cmath.sqrt(op.super / op.sub)
-    g = op.super / s
+    s, g = _gauge(op.super, op.sub)
     lams, blocks, vs = [], [], []
     for block, sign in enumerate((1.0, -1.0)):
         ks = np.arange(1 if sign < 0 and not at_pi else 0,
@@ -282,15 +319,9 @@ def endpoint_spectrum(pot: MathieuPotential, t: float,
         blocks.append(np.full(len(w), block))
         vs.append(v)
     lam, v = np.concatenate(lams), np.hstack(vs)
+    x, y = _ungauge(s, op.ks, v)
     with np.errstate(all="ignore"):
-        scaling = np.exp(-np.log(s) * op.ks)[:, None]     # s^-k
-        x = scaling * v
-        x /= np.linalg.norm(x, axis=0)
-        y = np.conj(v / scaling)                          # conj(s)^k conj(v)
-        y /= np.linalg.norm(y, axis=0)
-        res = np.linalg.norm(op.apply(x) - x * lam, axis=0)
-        lres = np.linalg.norm(op.apply(y, adjoint=True) - y * np.conj(lam),
-                              axis=0)
+        res, lres = _residuals(op.diag[:, None], op.super, op.sub, lam, x, y)
     return EndpointSpectrum(t, lam, np.concatenate(blocks), x, y, res, lres,
                             op.is_hermitian)
 
@@ -463,23 +494,22 @@ def _eigenvalues(op: TruncatedOperator) -> np.ndarray:
     It makes every eigenvalue-only solve: ``stable_m``'s two checks, and
     the tracking on the narrow window ``stable_m`` certifies.  A one-sided
     (bidiagonal) truncation's eigenvalues are its diagonal, which a wider
-    window only extends, so it makes no solve.  Hermitian inputs go
-    through LAPACK's dense symmetric solver (the unitary gauge
-    c_k -> e^{-i arg(super) k} c_k makes the matrix real symmetric with
-    off-diagonal |super|), others through its dense QR.  The symmetric
-    solve computes vectors and drops them: with vectors the low bands
-    agree with 40-digit references to about 3e-16 relative, without them
-    (``eigvalsh``) only to about 1e-11.
+    window only extends, so it makes no solve.  Every other one solves
+    the gauged matrix (``_gauge``), which depends on ab alone: by LAPACK's
+    dense symmetric solver when g = sqrt(ab) is real (every ab > 0), by
+    its dense QR otherwise.  The symmetric solve computes vectors and
+    drops them: with vectors the low bands agree with 40-digit references
+    to about 3e-16 relative, without them (``eigvalsh``) to about 1e-11.
     """
     if op.super == 0 or op.sub == 0:
         return op.diag.astype(complex)
+    g = _gauge(op.super, op.sub)[1]
+    off = np.full(op.size - 1, g.real if g.imag == 0 else g)
+    sym = np.diag(op.diag) + np.diag(off, 1) + np.diag(off, -1)
     try:
-        if op.is_hermitian:
-            sym = np.diag(op.diag)
-            i = np.arange(op.size - 1)
-            sym[i, i + 1] = sym[i + 1, i] = abs(op.super)
+        if np.isrealobj(sym):
             return np.linalg.eigh(sym)[0].astype(complex)
-        return np.linalg.eigvals(op.to_dense())
+        return np.linalg.eigvals(sym)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"eigensolver did not converge at t={op.t!r}, M={op.M}: {exc}"
@@ -670,33 +700,32 @@ def _c2l(z: complex) -> list:
 # Labeled access used by the profile and expansion machinery
 # --------------------------------------------------------------------------
 
-def _tridiagonal_solve(diag: np.ndarray, sup: np.ndarray, sub: np.ndarray,
+def _tridiagonal_solve(diag: np.ndarray, g: complex,
                       rhs: np.ndarray) -> np.ndarray:
     """Solve many tridiagonal systems by Gaussian elimination with pivoting.
 
     Column p of ``diag`` and ``rhs`` (shape (N, P)) is one system, with the
-    constant couplings ``sup[p]`` above and ``sub[p]`` below the diagonal.
-    Rows are interchanged as LAPACK's ``gttrf`` does (the larger of the
-    pivot and the entry below it leads), which fills in a second
-    superdiagonal; elimination and back substitution run over the rows,
-    each step vectorized over the systems.  ``diag`` is overwritten with
-    the pivots and ``rhs`` with the solution, which is returned.
+    constant coupling ``g`` above and below the diagonal.  Rows are
+    interchanged as LAPACK's ``gttrf`` does (the larger of the pivot and
+    the entry below it leads), which fills in a second superdiagonal;
+    elimination and back substitution run over the rows, each step
+    vectorized over the systems.  ``diag`` is overwritten with the pivots
+    and ``rhs`` with the solution, which is returned.
     """
     n = diag.shape[0]
     p1 = np.empty_like(diag)        # U's first superdiagonal
     p2 = np.empty_like(diag)        # and the fill-in beyond it
-    swap_lead = np.abs(sub)
-    a0, a1, ar = diag[0].copy(), sup, rhs[0].copy()     # the active row
+    a0, a1, ar = diag[0].copy(), g, rhs[0].copy()       # the active row
     for i in range(n - 1):
         d1, b1 = diag[i + 1], rhs[i + 1]
-        swap = np.abs(a0) < swap_lead
-        diag[i] = np.where(swap, sub, a0)
-        f = np.where(swap, a0, sub) / diag[i]
+        swap = np.abs(a0) < abs(g)
+        diag[i] = np.where(swap, g, a0)
+        f = np.where(swap, a0, g) / diag[i]
         p1[i] = np.where(swap, d1, a1)
-        p2[i] = np.where(swap, sup, 0.0)
+        p2[i] = np.where(swap, g, 0.0)
         rhs[i] = np.where(swap, b1, ar)
         a0 = np.where(swap, a1, d1) - f * p1[i]
-        a1 = np.where(swap, -f * sup, sup)
+        a1 = np.where(swap, -f * g, g)
         ar = np.where(swap, ar, b1) - f * rhs[i]
     rhs[n - 1] = ar / a0
     rhs[n - 2] = (rhs[n - 2] - p1[n - 2] * rhs[n - 1]) / diag[n - 2]
@@ -735,21 +764,22 @@ def _inverse_iteration(pot: MathieuPotential, M: int, ts: np.ndarray,
     M-truncation.
 
     Any t will do: nothing below assumes a sign.  Each pair solves
-    (H_t - sigma) x = x_prev and (H_t - sigma)^H y = y_prev on the central
-    window k = -K..K (all of M by default), starting from e_k + 1 with k
-    its entry of ``labels`` (band n's free vector leads at k = n for
-    t >= 0 and at k = -n for t < 0), and takes sigma = <y, H x>/<y, x>
-    between sweeps (Ipsen, SIAM Review 39 (1997)).  Hermitian inputs skip
-    the adjoint solve: y = x.
+    (G_t - sigma) v = v_prev once per sweep on the window k = -K..K (all
+    of M by default), G_t the gauged matrix (``_gauge``), and takes the
+    bilinear Rayleigh quotient v^T G_t v / v^T v as the next shift (Ipsen,
+    SIAM Review 39 (1997); Arbenz & Hochstenbach, SIAM J. Sci. Comput. 25
+    (2004)): the two-sided quotient <y, H x>/<y, x> of the vectors x, y
+    that ``_ungauge`` reads off v.  It starts from e_k alone, k the pair's
+    entry of ``labels`` (band n's free vector leads at k = n for t >= 0
+    and at -n for t < 0), so that its solves decay away from k as the
+    eigenvector does: the gauge factors s^-+k would blow up any residue.
 
-    The vectors come back padded with zeros to M, and the residuals are
-    theirs on the M-truncation: the window's plus the couplings at rows
-    +-(K + 1), |b x_K| and |a x_-K| (|a y_K| and |b y_-K| on the left).
-    After ``SWEEPS``, a pair whose residual is above ``ROUNDING`` of the
-    scale sweeps again, at most ``EXTRA_SWEEPS`` times; one still above
-    it starts over on the window 2K, and so on up to M.  Returns (lam, x,
-    y, residual, left residual) with the unit vectors as columns; a pair
-    that broke down comes back non-finite.
+    The residuals are those of x and y, zero-padded to M, on H_t's
+    M-truncation (``_residuals``).  After ``SWEEPS``, a pair whose residual
+    is above ``ROUNDING`` of the scale sweeps again, at most
+    ``EXTRA_SWEEPS`` times; one still above it starts over on the window
+    2K, and so on up to M.  Returns (lam, x, y, residual, left residual)
+    with the unit vectors as columns; a broken-down pair is non-finite.
     """
     npairs, size = len(ts), 2 * M + 1
     lam = np.empty(npairs, dtype=complex)
@@ -778,17 +808,11 @@ def _sweeps(pot: MathieuPotential, K: int, M: int, ts: np.ndarray,
     residual, left residual) with the vectors on the window and the
     residuals of the zero-padded vectors on the M-truncation."""
     a, b = complex(pot.a), complex(pot.b)
+    s, g = _gauge(a, b)
     ks = np.arange(-K, K + 1)
     diag = (TWO_PI * ks[:, None] + ts[None, :]) ** 2
     npairs = len(ts)
-    hermitian = b == np.conj(a)
-    sides = 1 if hermitian else 2
-    sup = np.repeat([a, np.conj(b)][:sides], npairs)
-    sub = np.repeat([b, np.conj(a)][:sides], npairs)
-    v = np.ones((len(ks), sides * npairs), dtype=complex)
-    lead = np.clip(labels, -K, K) + K
-    v[np.tile(lead, sides), np.arange(sides * npairs)] += len(ks)
-    big = np.tile(diag, sides)
+    v = np.eye(len(ks), dtype=complex)[:, np.clip(labels, -K, K) + K]
     sigma = shifts.astype(complex)
     res, lres = np.full(npairs, np.inf), np.full(npairs, np.inf)
     live = np.arange(npairs)
@@ -799,34 +823,17 @@ def _sweeps(pot: MathieuPotential, K: int, M: int, ts: np.ndarray,
                               <= rounding[live])]
                 if not live.size:
                     break
-            cols = np.concatenate([live, live + npairs][:sides])
-            shift = np.concatenate([sigma[live], np.conj(sigma[live])][:sides])
-            w = _tridiagonal_solve(big[:, cols] - shift, sup[cols], sub[cols],
-                                   v[:, cols])
+            w = _tridiagonal_solve(diag[:, live] - sigma[live], g,
+                                   v[:, live])
             w /= np.linalg.norm(w, axis=0)
-            v[:, cols] = w
-            xl, yl = w[:, :len(live)], w[:, -len(live):]
-            ax = _product(diag[:, live], a, b, xl)
-            sigma[live] = (np.sum(np.conj(yl) * ax, axis=0)
-                           / np.sum(np.conj(yl) * xl, axis=0))
+            v[:, live] = w
+            sigma[live] = (np.sum(w * _product(diag[:, live], g, g, w), axis=0)
+                           / np.sum(w * w, axis=0))
             if sweep < SWEEPS - 1:
                 continue
-            res[live] = _padded_residual(ax - sigma[live] * xl, b * xl[-1],
-                                         a * xl[0], K < M)
-            lres[live] = res[live] if hermitian else _padded_residual(
-                _product(diag[:, live], np.conj(b), np.conj(a), yl)
-                - np.conj(sigma[live]) * yl, a * yl[-1], b * yl[0], K < M)
-    return sigma, v[:, :npairs], v[:, -npairs:], res, lres
-
-
-def _padded_residual(r: np.ndarray, below: np.ndarray, above: np.ndarray,
-                     padded: bool) -> np.ndarray:
-    """The norms of the window residual columns ``r``, with the rows
-    +-(K + 1) of the M-truncation, ``below`` and ``above`` the window,
-    when the window is narrower than M."""
-    if not padded:
-        return np.linalg.norm(r, axis=0)
-    return np.linalg.norm(np.vstack([r, below, above]), axis=0)
+            res[live], lres[live] = _residuals(
+                diag[:, live], a, b, sigma[live], *_ungauge(s, ks, w), K < M)
+    return (sigma, *_ungauge(s, ks, v), res, lres)
 
 
 #: pi - math.pi, the part of pi that a double drops.
@@ -952,14 +959,9 @@ class BandBatch:
 
 
 class BandSolver:
-    """Labelled Bloch pairs along a set of tracked curves.
-
-    ``bands`` is the one entry, and it sends each pair down one route,
-    chosen from the input: the closed form for a one-sided potential
-    (ab = 0), the parity blocks at t = 0 and +-pi (one ``solution`` per
-    node), and one inverse-iteration batch, with the tracked curves as
-    shifts, everywhere else.  It takes any t in (-pi, pi] and keeps
-    nothing once it returns.
+    """Labelled Bloch pairs along a set of tracked curves: ``bands`` is the
+    one entry, and it sends each pair down one route chosen from the
+    input.  It takes any t in (-pi, pi] and keeps nothing once it returns.
     """
 
     def __init__(self, pot: MathieuPotential, curves: BlochCurveSet):
@@ -993,19 +995,10 @@ class BandSolver:
         cluster; a simple pair its block vectors leave short of the
         certificate takes one ``direct_pair`` on the M-truncation from its
         block eigenvalue, kept when it stays nearest that eigenvalue.  Every
-        other node goes through ``_inverse_iteration`` on the tracking's
-        window k = -window_M..window_M (widened for a pair that outgrows
-        it; the vectors padded to M and certified on M), in chunks of at
-        most about ``BATCH_PAIRS`` pairs, with each band's
-        endpoint partners (-n and -n-1) among the labels and the curve
-        values as shifts (the free values for a partner the curves do not
-        track).  A batch pair is accepted when its eigenvalue is nearer
-        its own shift than any other label's and the nearest of the batch
-        to its shift, and no other label's eigenvalue is linked to it
-        (``_linked`` at ``CLUSTER_RTOL``, which also keeps the labels'
-        eigenvalues distinct).  Either way a pair must also be finite and
-        certified on both sides (``_certificate``); the batch has no
-        fallback.
+        other node goes to ``_batch``, in chunks of at most about
+        ``BATCH_PAIRS`` pairs.  Either way a pair must also be finite and
+        certified on both sides (``_certificate``); no route falls back on
+        another.
         """
         ts = np.asarray(ts, dtype=float)
         far = np.abs(ts) > math.pi + PI_SLACK
@@ -1082,8 +1075,14 @@ class BandSolver:
 
     def _batch(self, nodes: np.ndarray, every: List[int]):
         """(lam, right, left, res, lres, accepted) of ``every`` label at
-        each node 0 < t < pi from one inverse-iteration batch; a refused
-        pair's vectors are zero."""
+        each node 0 < t < pi from one ``_inverse_iteration`` on the
+        tracking's window (widened for a pair that outgrows it), with the
+        curve values as shifts (the free values for an endpoint partner the
+        curves do not track).  A pair is accepted when it is certified, its
+        eigenvalue is nearer its own shift than any other label's and the
+        nearest of the batch to its shift, and no other label's eigenvalue
+        is linked to it (``_linked`` at ``CLUSTER_RTOL``); a refused pair's
+        vectors are zero."""
         tracked = self.curves.curves
         grid = self.curves.t_samples
         shifts = np.stack([

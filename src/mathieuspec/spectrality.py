@@ -112,8 +112,9 @@ def dn_profiles(pot: MathieuPotential, ns, t_grid,
 
     Every grid point of every band gets the eigenvector value, from one
     ``_projection_norms`` call; at least ``wronskian_fraction`` of a
-    band's valid points also get the closed-formula value.  Unresolvable
-    points are recorded, never raised.
+    band's valid points also get the closed-formula value, which is even
+    in t bit for bit, so a node -t with the same eigenvalue reuses the
+    value of t.  Unresolvable points are recorded, never raised.
     """
     ns = [int(n) for n in ns]
     if solver is None:
@@ -127,12 +128,16 @@ def dn_profiles(pot: MathieuPotential, ns, t_grid,
         valid_ts = ts[ok].tolist()
         samples = [(t, dj, "eigenvector")
                    for t, dj in zip(valid_ts, d[ok].tolist())]
+        closed = {}         # (|t|, lambda) -> the closed formula's value
         for t, lj in list(zip(valid_ts, lam[ok].tolist()))[::stride]:
-            try:
-                dw = dn_via_wronskian(pot, n, t, lj)
-            except (SimplenessError, MultipleEigenvalueError):
-                continue
-            samples.append((t, float(dw), "wronskian"))
+            key = (abs(t), lj)
+            if key not in closed:
+                try:
+                    closed[key] = float(dn_via_wronskian(pot, n, t, lj))
+                except (SimplenessError, MultipleEigenvalueError):
+                    closed[key] = None
+            if closed[key] is not None:
+                samples.append((t, closed[key], "wronskian"))
         inv = [1.0 / d for (_, d, m) in samples
                if m == "eigenvector" and d > 0]
         profiles.append(ProjectionProfile(

@@ -192,6 +192,36 @@ class TestCommands:
             assert abs(lam - want) <= 1e-7 * (1.0 + abs(want))
             assert fam == fam_want
 
+    def test_profile_integrates_each_lambda_once(self, tmp_path,
+                                                 monkeypatch):
+        # the closed formula is even in t, so a node -t reuses the value
+        # of t: 52 integrations, where one per node took 70
+        from mathieuspec import MathieuPotential, make_solver
+        from mathieuspec import discriminant as disc
+        lams = []
+        integrate = disc._integrate
+
+        def recorded(pot, batch):
+            lams.extend(batch)
+            return integrate(pot, batch)
+
+        monkeypatch.setattr(disc, "_integrate", recorded)
+        assert main(["profile", "--a", "1", "--b", "2", "--nmax", "2",
+                     "--out", str(tmp_path)]) == 0
+        assert len(lams) == len(set(lams)) == 52
+        monkeypatch.undo()
+        rows = [line.split(",") for line in
+                (tmp_path / "profile.csv").read_text().splitlines()[1:]]
+        closed = {(n, float(t)): d for n, t, d, m in rows if m == "wronskian"}
+        mirrored = [(n, t) for n, t in closed if t < 0 and (n, -t) in closed]
+        assert mirrored
+        n, t = mirrored[0]
+        assert closed[n, t] == closed[n, -t]
+        pot = MathieuPotential(1, 2)
+        lam = make_solver(pot, 2).bands([t], [int(n)]).lam[0, 0]
+        assert float(closed[n, t]) == pytest.approx(
+            disc.dn_via_wronskian(pot, int(n), t, lam), rel=1e-12)
+
     def test_verify_passes(self, tmp_path, capsys):
         rc = main(["verify", "--a", "1", "--b", "1", "--out", str(tmp_path),
                    "--seed", "11"])
@@ -354,7 +384,7 @@ class TestTypedEigensolveErrors:
         raise np.linalg.LinAlgError("injected failure")
 
     @pytest.mark.parametrize("solve, argv, message", [
-        ("eigvals", ["spectrum", "--a", "1", "--b", "2", "--nmax", "3"],
+        ("eigvals", ["spectrum", "--a", "1", "--b", "2i", "--nmax", "3"],
          "eigensolver did not converge"),
         ("eigh", SELF_ADJOINT_SPECTRUM, "eigensolver did not converge"),
         ("eig", ENDPOINT_CLASSIFY, "parity block did not converge"),

@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mathieuspec import (BandSolver, MathieuPotential,
-                         MultipleEigenvalueError, TrackingAmbiguityError,
-                         ValidationError, assemble,
+                         MultipleEigenvalueError, ValidationError, assemble,
                          default_grid, detect_singularities, dn_profile,
                          endpoint_spectrum, free_lambda,
                          fundamental_solutions, make_solver, track_curves)
@@ -721,13 +721,11 @@ class TestTracking:
         for lam in w1[sel]:
             assert np.min(np.abs(w2 - lam)) <= 1e-9 * (1 + abs(lam))
 
-    @pytest.mark.xfail(strict=True, raises=TrackingAmbiguityError,
-                       reason="ROADMAP item 6: the drift check solves the "
-                              "unbalanced matrix, |b/a| = 5.3e5 here")
     def test_skewed_couplings_stabilize(self):
         # F and every eigenvalue depend on ab alone, so the skewed pair
-        # should pass where its balanced pair (sqrt(ab), sqrt(ab)) does,
-        # at M = 32; stable_m raises at M_CAP instead
+        # (|b/a| = 5.3e5) passes where its balanced pair (sqrt(ab),
+        # sqrt(ab)) does, at M = 32: the drift check solves the gauged
+        # matrix
         pot = MathieuPotential(8.860414957955822e-05 - 0.001098379475076661j,
                                328.75015871204556 - 482.2938153941325j)
         g = cmath.sqrt(pot.ab)
@@ -1305,11 +1303,12 @@ class TestBatchedBands:
                                       - np.conj(lam) * y) <= cert
 
     # (log10 |a/b|, sqrt|ab|, phases, t, labels): simple pairs near pi
-    # that the batch does not certify and the dense reference does.  At
-    # one ulp below pi the pair 1, -2 is 1.3e-4 apart (the link is 9e-6)
-    # and three sweeps leave it at residual 3e-4 against a certificate of
-    # 7e-5; at 2.9e-6 below pi band 3's untracked partner -4, shifted to
-    # its free value, converges onto band 3's eigenvalue
+    # that the dense reference certifies.  Iterated on the unbalanced
+    # matrix, the batch refused them: at one ulp below pi the pair 1, -2
+    # is 1.3e-4 apart (the link is 9e-6) and three sweeps left it at
+    # residual 3e-4 against a certificate of 7e-5; at 2.9e-6 below pi
+    # band 3's untracked partner -4, shifted to its free value, converged
+    # onto band 3's eigenvalue
     NEAR_PI_SIMPLE = [
         ((-5.930909638517155, 1.0489410466623765, 5.767698098947163,
           3.8799799901930423), 3.1415926535897922, [1, -2]),
@@ -1339,8 +1338,6 @@ class TestBatchedBands:
             link = CLUSTER_RTOL * (1 + abs(primal.lam))
             assert np.sort(np.abs(w - w[i]))[1] > 2 * link   # simple
 
-    @pytest.mark.xfail(strict=True, reason="no fallback: the batch refuses "
-                       "these simple near-pi pairs")
     @pytest.mark.parametrize("amps,t,labels", NEAR_PI_SIMPLE)
     def test_near_pi_simple_pairs_certified(self, amps, t, labels):
         pot = self._skewed(amps)
@@ -1434,6 +1431,71 @@ class TestWindowBatch:
         assert worst(solver.bands(ts, [0, -1])) <= 1e-16
         monkeypatch.setattr(flq, "EXTRA_SWEEPS", 0)
         assert worst(solver.bands(ts, [0, -1])) > 1e-10
+
+
+class TestGaugedBatch:
+    """The batch iterates the gauged, complex symmetric matrix, and reads
+    the right and the adjoint vector off one solution."""
+
+    def test_one_solve_per_pair_and_sweep(self, pots, monkeypatch):
+        pot = pots["bench-un"]
+        assert not assemble(pot, 1.0, 8).is_hermitian
+        solver = make_solver(pot, 4)
+        columns = []
+        solve = flq._tridiagonal_solve
+
+        def counted(*args):
+            columns.append(args[-1].shape[1])
+            return solve(*args)
+
+        monkeypatch.setattr(flq, "_tridiagonal_solve", counted)
+        got = solver.bands(np.linspace(0.2, 3.0, 8), range(-4, 5))
+        assert got.ok.all()
+        # labels -4..4 with their endpoint partners: -5..4 at 8 nodes
+        assert columns[:flq.SWEEPS] == [80] * flq.SWEEPS
+        assert all(c <= 80 for c in columns)
+
+    @pytest.mark.parametrize("ratio", [1e16, 1e40, 1e300, 1e-16, 1e-300])
+    def test_extreme_coupling_ratio(self, ratio):
+        # the eigenvalues depend on ab alone, and the vectors carry the
+        # gauge factors s^-k, |s|^K up to 1e150^14 here: no step may
+        # overflow or warn, and every accepted pair is finite and certified
+        pot = MathieuPotential(1.3 * math.sqrt(ratio) * cmath.exp(0.7j),
+                               0.8 / math.sqrt(ratio) * cmath.exp(0.4j))
+        ts = np.array([0.3, 1e-6, 0.0, PI])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solver = make_solver(pot, 3)
+            got = solver.bands(ts, solver.curves.n_values)
+        cert = flq._certificate(flq._scale(pot, ts, solver.M))[:, None]
+        ok = got.ok
+        assert ok[:3].all()
+        assert np.all(np.isfinite(got.lam[ok]))
+        assert np.all((got.residual <= cert)[ok]
+                      & (got.left_residual <= cert)[ok])
+        for vectors in (got.right, got.left):
+            v = vectors.transpose(0, 2, 1)[ok]
+            assert np.all(np.isfinite(v))
+            assert np.allclose(np.linalg.norm(v, axis=1), 1.0)
+
+    @pytest.mark.parametrize("a, b", [(1e-160, 1e-170j), (1e160, 1e160),
+                                      (1e200, 1e-200), (3j, -2j)])
+    def test_gauge_of_extreme_amplitudes(self, a, b):
+        # g stays finite and nonzero where ab underflows (1e-330) or
+        # overflows (1e320), and where a/b does (1e400); ab > 0 gives g > 0
+        s, g = flq._gauge(complex(a), complex(b))
+        assert g != 0 and cmath.isfinite(g) and cmath.isfinite(s)
+        assert s * g == pytest.approx(a, rel=1e-15)
+        assert b * s == pytest.approx(g, rel=1e-15)
+        assert (g.imag == 0 and g.real > 0) == ((a * b).real > 0)
+
+    def test_weak_coupling_at_a_large_ratio(self):
+        # g = 1e-3 and |a/b| = 1e20 on the window k = -19..19: the gauged
+        # columns are so small that their norms underflow unless each is
+        # scaled to its largest entry first, which refused every pair
+        pot = MathieuPotential(1e7 * cmath.exp(0.3j), 1e-13 * cmath.exp(1.1j))
+        solver = make_solver(pot, 8)
+        assert solver.bands([0.3, 1.7], solver.curves.n_values).ok.all()
 
 
 # --------------------------------------------------------------------------
